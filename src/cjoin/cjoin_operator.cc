@@ -135,12 +135,10 @@ Status CJoinOperator::Start() {
 }
 
 void CJoinOperator::Stop() {
-  if (!started_ || stopped_) return;
-  stopped_ = true;
-  stop_.store(true);
+  if (!started_ || stop_.exchange(true)) return;
   submissions_.Close();
   {
-    // Wake Submit() callers blocked on the id freelist.
+    // Wake Submit() callers waiting out the id grace.
     MutexLock lk(&id_mu_);
     id_available_.NotifyAll();
   }
@@ -167,21 +165,7 @@ void CJoinOperator::Stop() {
   }
 }
 
-uint32_t CJoinOperator::AcquireQueryId() {
-  MutexLock lk(&id_mu_);
-  // Explicit wait loop (not the predicate overload): the analysis treats
-  // a predicate lambda as a separate, unlocked function, so guarded
-  // reads belong in the loop body.
-  while (free_ids_.empty() && !stop_.load()) {
-    id_available_.Wait(id_mu_);
-  }
-  if (free_ids_.empty()) return UINT32_MAX;
-  const uint32_t id = free_ids_.back();
-  free_ids_.pop_back();
-  return id;
-}
-
-uint32_t CJoinOperator::TryAcquireQueryId(int64_t grace_ns) {
+uint32_t CJoinOperator::ClaimQueryId(int64_t grace_ns) {
   MutexLock lk(&id_mu_);
   if (free_ids_.empty() && grace_ns > 0) {
     const auto deadline =
@@ -211,9 +195,10 @@ void CJoinOperator::ReleaseQueryId(uint32_t qid) {
 
 Result<std::unique_ptr<QueryHandle>> CJoinOperator::Submit(
     StarQuerySpec spec, SubmitOptions options) {
-  if (!started_ || stopped_) {
-    return Status::FailedPrecondition("operator not running");
-  }
+  // Submission time (§6.2.2) runs from this call, id wait included.
+  const int64_t submitted = QueryRuntime::NowNs();
+  if (!started_) return Status::FailedPrecondition("operator not started");
+  if (stop_.load()) return Status::Aborted("operator stopped");
   if (spec.schema != &star_) {
     return Status::InvalidArgument(
         "query targets a different star schema than this operator");
@@ -227,16 +212,14 @@ Result<std::unique_ptr<QueryHandle>> CJoinOperator::Submit(
     return Status::DeadlineExceeded("deadline expired before submission");
   }
 
-  const uint32_t qid = options.reject_when_full
-                           ? TryAcquireQueryId(options.id_acquire_grace_ns)
-                           : AcquireQueryId();
+  const uint32_t qid = ClaimQueryId(options.id_acquire_grace_ns);
   if (qid == UINT32_MAX) {
-    if (options.reject_when_full && !stop_.load()) {
-      return Status::ResourceExhausted(
-          "all " + std::to_string(opts_.max_concurrent_queries) +
-          " CJOIN query ids are in flight");
+    if (stop_.load()) {
+      return Status::Aborted("operator stopped while waiting for a query id");
     }
-    return Status::Aborted("operator stopped while waiting for a query id");
+    return Status::ResourceExhausted(
+        "all " + std::to_string(opts_.max_concurrent_queries) +
+        " CJOIN query ids are in flight");
   }
 
   auto rt = std::make_shared<QueryRuntime>();
@@ -247,19 +230,27 @@ Result<std::unique_ptr<QueryHandle>> CJoinOperator::Submit(
   rt->trace = std::move(options.trace);
   rt->trace_prefix = std::move(options.trace_prefix);
   rt->deadline_ns.store(options.deadline_ns, std::memory_order_relaxed);
-  rt->submit_ns.store(QueryRuntime::NowNs());
+  rt->submit_ns.store(submitted);
   std::future<Result<ResultSet>> fut = rt->promise.get_future();
+  inflight_.fetch_add(1, std::memory_order_relaxed);
   {
     MutexLock lk(&registry_mu_);
     registry_[qid] = rt;
   }
   auto handle = std::make_unique<QueryHandle>(rt, std::move(fut));
-  inflight_.fetch_add(1, std::memory_order_relaxed);
   if (!submissions_.Push(rt)) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    MutexLock lk(&registry_mu_);
-    registry_[qid].reset();
-    ReleaseQueryId(qid);
+    // Stop() closed the queue. Its registry sweep may already have
+    // aborted (and unregistered) this runtime; otherwise undo here.
+    bool registered;
+    {
+      MutexLock lk(&registry_mu_);
+      registered = registry_[qid] == rt;
+      if (registered) registry_[qid].reset();
+    }
+    if (registered) {
+      ReleaseQueryId(qid);
+      inflight_.fetch_sub(1, std::memory_order_relaxed);
+    }
     return Status::Aborted("operator stopped");
   }
   return handle;

@@ -51,8 +51,9 @@ class CJoinOperator {
  public:
   struct Options {
     /// maxConc: bound on concurrently registered queries; fixes the
-    /// bit-vector width at ceil(maxConc/64) words. Submit() blocks while
-    /// all ids are taken.
+    /// bit-vector width at ceil(maxConc/64) words. While all ids are
+    /// taken, Submit() waits at most SubmitOptions::id_acquire_grace_ns
+    /// for one to recycle, then rejects with kResourceExhausted.
     size_t max_concurrent_queries = 256;
 
     PipelineConfig config = PipelineConfig::kHorizontal;
@@ -123,16 +124,12 @@ class CJoinOperator {
     /// Skip NormalizeSpec: the caller guarantees the spec already is
     /// (the engine normalizes during request resolution).
     bool assume_normalized = false;
-    /// Overload behavior when all max_concurrent_queries bit-vector ids
-    /// are taken: false (legacy) blocks the submitting thread until one
-    /// frees; true returns kResourceExhausted instead — the overload
-    /// collapse the admission controller degrades into rejections.
-    bool reject_when_full = false;
-    /// With reject_when_full: bounded wait for an id whose query already
-    /// delivered but whose (prompt) pipeline cleanup hasn't recycled the
-    /// id yet. Bridges that recycling window — an admitted back-to-back
-    /// resubmission into a just-freed slot — without reintroducing
-    /// unbounded blocking. 0 = reject immediately.
+    /// Bounded wait for a bit-vector id when all max_concurrent_queries
+    /// are taken: an id whose query already delivered but whose (prompt)
+    /// pipeline cleanup hasn't recycled it yet. Bridges that recycling
+    /// window — an admitted back-to-back resubmission into a just-freed
+    /// slot — without blocking unboundedly; past it Submit() returns
+    /// kResourceExhausted. 0 = reject immediately.
     int64_t id_acquire_grace_ns = 250'000'000;
     /// Invoked with the query's terminal result right before its promise
     /// resolves (see QueryRuntime::completion_observer). Installed before
@@ -146,8 +143,10 @@ class CJoinOperator {
     std::string trace_prefix;
   };
 
-  /// Registers a star query (normalizing it first). Blocks while
-  /// max_concurrent_queries are in flight. Thread-safe.
+  /// Registers a star query (normalizing it first). With all
+  /// max_concurrent_queries ids taken, waits at most the options' id
+  /// grace, then returns kResourceExhausted; returns kAborted once the
+  /// operator is stopping. Thread-safe.
   Result<std::unique_ptr<QueryHandle>> Submit(StarQuerySpec spec,
                                               SubmitOptions options);
   Result<std::unique_ptr<QueryHandle>> Submit(
@@ -217,11 +216,9 @@ class CJoinOperator {
   void CleanupQuery(uint32_t qid);
   void MaybeReorderFilters();
 
-  /// Blocking acquisition (legacy Submit contract); UINT32_MAX on stop.
-  uint32_t AcquireQueryId() EXCLUDES(id_mu_);
-  /// Bounded acquisition: waits at most `grace_ns` (0 = not at all);
-  /// UINT32_MAX when none freed in time or the operator stopped.
-  uint32_t TryAcquireQueryId(int64_t grace_ns = 0) EXCLUDES(id_mu_);
+  /// Takes the smallest free id, waiting at most `grace_ns` (0 = not at
+  /// all); UINT32_MAX when none freed in time or the operator stopped.
+  uint32_t ClaimQueryId(int64_t grace_ns) EXCLUDES(id_mu_);
   void ReleaseQueryId(uint32_t qid) EXCLUDES(id_mu_);
 
   const StarSchema& star_;
@@ -262,9 +259,9 @@ class CJoinOperator {
   std::thread preprocessor_thread_;
   std::thread distributor_thread_;
   std::thread manager_thread_;
+  /// Set once by Stop(); Submit() reads it from any thread.
   std::atomic<bool> stop_{false};
   bool started_ = false;
-  bool stopped_ = false;
 };
 
 }  // namespace cjoin

@@ -76,12 +76,12 @@ struct QueryRuntime {
   /// coordinate via phase, as before).
   ///
   /// The observer is moved out and destroyed after its single invocation:
-  /// engine-level observers capture owning references back to the caller's
-  /// ticket state (e.g. the deferred-admission ticket, whose handle owns
-  /// this runtime), so a retained observer would close a shared_ptr cycle
-  /// and leak every deferred query. cancel_hook is deliberately NOT
-  /// cleared here: QueryHandle::Cancel() may read it concurrently with
-  /// delivery, and it only ever captures downstream (shard-side) state.
+  /// the engine's observer owns the query's Completion, which owns the
+  /// handle that owns this runtime, so a retained observer would close a
+  /// shared_ptr cycle and leak every CJOIN query. cancel_hook is
+  /// deliberately NOT cleared here: QueryHandle::Cancel() may read it
+  /// concurrently with delivery, and it only ever captures downstream
+  /// (shard-side) state.
   void Deliver(Result<ResultSet> result) {
     if (completion_observer) {
       auto observer = std::move(completion_observer);

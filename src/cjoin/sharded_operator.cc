@@ -276,7 +276,6 @@ Result<std::unique_ptr<QueryHandle>> ShardedCJoinOperator::Submit(
     CJoinOperator::SubmitOptions so;
     so.deadline_ns = options.deadline_ns;
     so.assume_normalized = true;
-    so.reject_when_full = options.reject_when_full;
     so.id_acquire_grace_ns = options.id_acquire_grace_ns;
     // Shard pipelines share the logical query's trace; their stage spans
     // are disambiguated by a per-shard label prefix ("s2/pre").

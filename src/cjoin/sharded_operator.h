@@ -80,8 +80,8 @@ class ShardedCJoinOperator {
   /// Registers a star query once across all shards and returns a single
   /// handle whose result is the shard-merged aggregate. Semantics match
   /// CJoinOperator::Submit (cooperative cancellation, deadlines, and the
-  /// SubmitOptions overload contract: blocking on id exhaustion by
-  /// default, kResourceExhausted with reject_when_full).
+  /// bounded id wait: kResourceExhausted once any shard's ids stay taken
+  /// past id_acquire_grace_ns, kAborted once a shard is stopping).
   Result<std::unique_ptr<QueryHandle>> Submit(
       StarQuerySpec spec, CJoinOperator::SubmitOptions options);
 

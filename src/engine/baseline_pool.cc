@@ -4,53 +4,10 @@
 #include <chrono>
 #include <set>
 
-#include "cjoin/query_runtime.h"
+#include "engine/query_api.h"
 #include "obs/flight_recorder.h"
 
 namespace cjoin {
-
-bool BaselineJob::TryResolve(Result<ResultSet> result) {
-  bool expected = false;
-  if (!resolved_.compare_exchange_strong(expected, true,
-                                         std::memory_order_acq_rel)) {
-    return false;
-  }
-  const int64_t done = QueryRuntime::NowNs();
-  completed_ns.store(done, std::memory_order_relaxed);
-  if (trace != nullptr) {
-    const int64_t submitted = submit_ns.load(std::memory_order_relaxed);
-    const int64_t started = start_ns.load(std::memory_order_relaxed);
-    if (submitted != 0) {
-      // A job resolved while still queued (cancel/deadline/abort) never
-      // started: its whole life was queue residence.
-      trace->AddSpan(obs::SpanKind::kBaselineQueue, "", submitted,
-                     started != 0 ? started : done);
-    }
-    if (started != 0) {
-      trace->AddSpan(obs::SpanKind::kBaselineRun, "", started, done);
-    }
-  }
-  if (obs::MetricsEnabled()) {
-    auto& reg = obs::MetricsRegistry::Global();
-    const int64_t submitted = submit_ns.load(std::memory_order_relaxed);
-    const int64_t started = start_ns.load(std::memory_order_relaxed);
-    reg.GetHistogram("baseline_queue_wait_ns",
-                     "Baseline pool queue residence")
-        ->Record(static_cast<uint64_t>(
-            std::max<int64_t>(0, (started != 0 ? started : done) -
-                                     submitted)));
-    if (started != 0) {
-      reg.GetHistogram("baseline_run_ns", "Baseline plan execution time")
-          ->Record(static_cast<uint64_t>(std::max<int64_t>(0, done - started)));
-    }
-  }
-  // Quota release (and any other bookkeeping) strictly precedes result
-  // visibility, so a caller unblocked by Wait() can immediately resubmit
-  // into the freed slot.
-  if (on_finished) on_finished(result);
-  promise.set_value(std::move(result));
-  return true;
-}
 
 BaselinePool::BaselinePool(size_t workers, size_t max_queued)
     : max_queued_(max_queued) {
@@ -71,16 +28,10 @@ BaselinePool::BaselinePool(size_t workers, size_t max_queued)
 BaselinePool::~BaselinePool() { Shutdown(); }
 
 Status BaselinePool::Enqueue(std::shared_ptr<BaselineJob> job) {
-  job->submit_ns.store(QueryRuntime::NowNs(), std::memory_order_relaxed);
   {
     MutexLock lk(&mu_);
-    if (shutdown_) {
-      job->TryResolve(Status::Aborted("baseline pool shut down"));
-      return Status::Aborted("baseline pool shut down");
-    }
+    if (shutdown_) return Status::Aborted("baseline pool shut down");
     if (max_queued_ != 0 && queue_.size() >= max_queued_) {
-      // The caller decides how to surface the rejection; the job's
-      // promise stays unresolved (it never entered the pool).
       return Status::ResourceExhausted(
           "baseline pool queue full (" + std::to_string(max_queued_) + ")");
     }
@@ -111,7 +62,7 @@ void BaselinePool::Shutdown() {
   cv_.NotifyAll();
   for (auto& job : unresolved) {
     job->cancel.store(true, std::memory_order_release);
-    job->TryResolve(Status::Aborted("baseline pool shut down"));
+    job->completion->Finish(Status::Aborted("baseline pool shut down"));
   }
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
@@ -200,7 +151,7 @@ void BaselinePool::WorkerLoop() {
     }
 
     const int64_t now = QueryRuntime::NowNs();
-    job->start_ns.store(now, std::memory_order_relaxed);
+    job->completion->MarkQueueEnd(now);
     Result<ResultSet> result = [&]() -> Result<ResultSet> {
       if (job->cancel.load(std::memory_order_acquire)) {
         return Status::Cancelled("baseline query cancelled while queued");
@@ -216,7 +167,7 @@ void BaselinePool::WorkerLoop() {
     }();
     // The sweeper may have resolved it already (cancel/deadline); first
     // caller wins.
-    job->TryResolve(std::move(result));
+    job->completion->Finish(std::move(result));
   }
 }
 
@@ -248,9 +199,9 @@ void BaselinePool::SweeperLoop() {
       if (!terminal.ok()) {
         // Signal the executor too (deadline case), then resolve.
         job.cancel.store(true, std::memory_order_release);
-        job.TryResolve(std::move(terminal));
+        job.completion->Finish(std::move(terminal));
         done = true;
-      } else if (job.completed_ns.load(std::memory_order_relaxed) != 0) {
+      } else if (job.completion->Ready()) {
         done = true;  // worker finished it; stop watching
       }
       if (done) {

@@ -11,17 +11,16 @@
 // a sweeper thread resolves cancelled / deadline-expired jobs promptly
 // even while they sit in the queue (matching the CJOIN path's
 // responsiveness), and the executor's batch-boundary checks interrupt
-// jobs mid-scan. Each job's promise resolves exactly once; an optional
-// on_finished hook (the admission controller's quota release) fires with
-// it. The queue is optionally bounded: over the cap, Enqueue rejects with
-// kResourceExhausted instead of growing without bound.
+// jobs mid-scan. Every terminal result goes to the job's Completion,
+// whose first resolution wins (worker, sweeper, or shutdown) and runs the
+// engine's accounting, quota release included. The queue is optionally
+// bounded: over the cap, Enqueue rejects with kResourceExhausted instead
+// of growing without bound.
 
 #ifndef CJOIN_ENGINE_BASELINE_POOL_H_
 #define CJOIN_ENGINE_BASELINE_POOL_H_
 
 #include <atomic>
-#include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,14 +31,14 @@
 #include "catalog/query_spec.h"
 #include "common/mutex.h"
 #include "common/status.h"
-#include "exec/result_set.h"
 #include "obs/metrics.h"
-#include "obs/query_trace.h"
 
 namespace cjoin {
 
-/// One queued/running baseline execution. Shared between the pool and the
-/// caller's QueryTicket.
+class Completion;
+
+/// One queued/running baseline execution. Shared between the pool and its
+/// completion's cancel hook.
 struct BaselineJob {
   StarQuerySpec spec;   ///< normalized
   QatOptions options;   ///< per-job executor knobs
@@ -52,32 +51,11 @@ struct BaselineJob {
   std::string tenant;
   double fair_weight = 1.0;
 
-  /// Invoked exactly once with the terminal result, just before the
-  /// promise resolves, on whichever thread resolves it (worker, sweeper,
-  /// or shutdown). The engine hooks the admission controller's quota
-  /// release and the route calibrator's latency observation here, so
-  /// cancel / deadline / abort all release on every path.
-  std::function<void(const Result<ResultSet>&)> on_finished;
-
   std::atomic<bool> cancel{false};
-  std::promise<Result<ResultSet>> promise;
 
-  /// Per-query span trace (may be null): the pool records queue
-  /// residence and run time into it.
-  std::shared_ptr<obs::QueryTrace> trace;
-
-  // Steady-clock nanos, for the uniform ticket timing stats.
-  std::atomic<int64_t> submit_ns{0};
-  std::atomic<int64_t> start_ns{0};
-  std::atomic<int64_t> completed_ns{0};
-
-  /// Resolves the promise exactly once (first caller wins: worker result,
-  /// sweeper cancel/deadline, or pool shutdown). Returns whether this
-  /// call resolved it.
-  bool TryResolve(Result<ResultSet> result);
-
- private:
-  std::atomic<bool> resolved_{false};
+  /// Resolved with the terminal result (see Completion::Finish); the
+  /// worker stamps the queue end at start.
+  std::shared_ptr<Completion> completion;
 };
 
 class BaselinePool {
@@ -90,11 +68,12 @@ class BaselinePool {
   BaselinePool(const BaselinePool&) = delete;
   BaselinePool& operator=(const BaselinePool&) = delete;
 
-  /// Enqueues a job. Its promise resolves when a worker finishes it, when
-  /// the sweeper observes its cancellation / deadline expiry (also while
-  /// still queued), or with kAborted on pool shutdown. Returns
-  /// kResourceExhausted — without resolving the job's promise — when the
-  /// queue is at its cap, and kAborted after shutdown (promise resolved).
+  /// Enqueues a job. Its completion resolves when a worker finishes it,
+  /// when the sweeper observes its cancellation / deadline expiry (also
+  /// while still queued), or with kAborted on pool shutdown. Returns
+  /// kResourceExhausted when the queue is at its cap and kAborted after
+  /// shutdown; a rejected job never entered the pool, and its completion
+  /// is the caller's to resolve.
   Status Enqueue(std::shared_ptr<BaselineJob> job) EXCLUDES(mu_);
 
   /// Stops workers and sweeper; unresolved jobs resolve with kAborted.

@@ -2,119 +2,76 @@
 
 namespace cjoin {
 
-QueryTicket::QueryTicket(RouteDecision decision,
-                         std::unique_ptr<QueryHandle> handle)
-    : decision_(std::move(decision)), cjoin_(std::move(handle)) {}
+Completion::Completion()
+    : submit_ns(QueryRuntime::NowNs()), future_(promise_.get_future()) {}
 
-QueryTicket::QueryTicket(RouteDecision decision,
-                         std::shared_ptr<BaselineJob> job,
-                         std::future<Result<ResultSet>> future)
-    : decision_(std::move(decision)),
-      baseline_(std::move(job)),
-      baseline_future_(std::move(future)) {}
-
-QueryTicket::QueryTicket(RouteDecision decision, std::string label,
-                         SnapshotId snapshot, Result<ResultSet> immediate)
-    : decision_(std::move(decision)),
-      immediate_(std::move(immediate)),
-      label_(std::move(label)),
-      snapshot_(snapshot) {}
-
-QueryTicket::QueryTicket(RouteDecision decision,
-                         std::shared_ptr<DeferredQuery> deferred,
-                         std::future<Result<ResultSet>> future)
-    : decision_(std::move(decision)),
-      baseline_future_(std::move(future)),
-      deferred_(std::move(deferred)) {}
-
-QueryTicket::~QueryTicket() = default;
-
-const std::string& QueryTicket::label() const {
-  if (cjoin_ != nullptr) return cjoin_->label();
-  if (baseline_ != nullptr) return baseline_->spec.label;
-  if (deferred_ != nullptr) return deferred_->label;
-  return label_;
+void Completion::BindWaiter(std::function<void()> cancel) {
+  MutexLock lk(&mu_);
+  if (backend_bound_ || resolved_.load()) return;
+  cancel_hook_ = std::move(cancel);
 }
 
-SnapshotId QueryTicket::snapshot() const {
-  if (cjoin_ != nullptr) return cjoin_->snapshot();
-  if (baseline_ != nullptr) return baseline_->spec.snapshot;
-  if (deferred_ != nullptr) return deferred_->snapshot;
-  return snapshot_;
-}
-
-Result<ResultSet> QueryTicket::Wait() {
-  if (cjoin_ != nullptr) return cjoin_->Wait();
-  if (immediate_.has_value()) return std::move(*immediate_);
-  return baseline_future_.get();
-}
-
-bool QueryTicket::Ready() const {
-  if (cjoin_ != nullptr) return cjoin_->Ready();
-  if (immediate_.has_value()) return true;
-  return baseline_future_.wait_for(std::chrono::seconds(0)) ==
-         std::future_status::ready;
-}
-
-void QueryTicket::Cancel() {
-  if (cjoin_ != nullptr) {
-    cjoin_->Cancel();
-    return;
+void Completion::BindBackend(std::function<void()> cancel) {
+  {
+    MutexLock lk(&mu_);
+    backend_bound_ = true;
+    if (resolved_.load()) return;  // nothing left to cancel; drop the hook
+    cancel_hook_ = std::move(cancel);
+    if (!cancel_requested_) return;
+    cancel = cancel_hook_;
   }
-  if (baseline_ != nullptr) {
-    baseline_->cancel.store(true, std::memory_order_release);
-    return;
-  }
-  if (deferred_ != nullptr) {
-    // Invoke the underlying cancel path outside the state lock: the
-    // waiter-cancel calls back into the admission controller, whose
-    // grant path takes this lock.
-    QueryHandle* handle = nullptr;
-    std::function<void()> cancel_waiter;
-    {
-      MutexLock lk(&deferred_->mu);
-      deferred_->cancelled = true;
-      if (deferred_->handle != nullptr) {
-        handle = deferred_->handle.get();
-      } else {
-        cancel_waiter = deferred_->cancel_waiter;
-      }
-    }
-    if (handle != nullptr) {
-      handle->Cancel();
-    } else if (cancel_waiter) {
-      cancel_waiter();
-    }
-  }
-  // Immediate tickets are already terminal: Cancel is a no-op.
+  cancel();
 }
 
-double QueryTicket::ResponseSeconds() const {
-  if (cjoin_ != nullptr) return cjoin_->ResponseSeconds();
-  if (immediate_.has_value()) return 0.0;
-  const BaselineJob* job = baseline_.get();
-  int64_t done = 0, sub = 0;
-  if (job != nullptr) {
-    done = job->completed_ns.load();
-    sub = job->submit_ns.load();
-  } else if (deferred_ != nullptr) {
-    done = deferred_->completed_ns.load();
-    sub = deferred_->submit_ns.load();
+void Completion::BindHandle(std::unique_ptr<QueryHandle> handle) {
+  query_id_.store(handle->query_id(), std::memory_order_relaxed);
+  set_snapshot(handle->snapshot());
+  QueryHandle* h = handle.get();
+  {
+    MutexLock lk(&mu_);
+    handle_ = std::move(handle);
   }
-  return done > sub ? static_cast<double>(done - sub) * 1e-9 : 0.0;
+  BindBackend([h] { h->Cancel(); });
 }
 
-double QueryTicket::SubmissionSeconds() const {
-  return cjoin_ != nullptr ? cjoin_->SubmissionSeconds() : 0.0;
+void Completion::Cancel() {
+  // The hook runs off the lock: the waiter's re-enters Reject() through
+  // the admission controller's grant path.
+  std::function<void()> hook;
+  {
+    MutexLock lk(&mu_);
+    cancel_requested_ = true;
+    hook = cancel_hook_;
+  }
+  if (hook) hook();
 }
 
-uint32_t QueryTicket::query_id() const {
-  if (cjoin_ != nullptr) return cjoin_->query_id();
-  if (deferred_ != nullptr) {
-    MutexLock lk(&deferred_->mu);
-    if (deferred_->handle != nullptr) return deferred_->handle->query_id();
+void Completion::Resolve(Result<ResultSet> result, bool reached_backend) {
+  if (resolved_.exchange(true, std::memory_order_acq_rel)) return;
+  reached_backend_.store(reached_backend, std::memory_order_release);
+  done_ns_.store(QueryRuntime::NowNs(), std::memory_order_release);
+  if (finalizer && (reached_backend || slot_held())) finalizer(*this, result);
+  std::function<void()> hook;
+  {
+    MutexLock lk(&mu_);
+    hook.swap(cancel_hook_);
   }
-  return UINT32_MAX;
+  promise_.set_value(std::move(result));
+  ready_.store(true, std::memory_order_release);
+}
+
+double Completion::ResponseSeconds() const {
+  const int64_t done = done_ns();
+  return done > submit_ns ? static_cast<double>(done - submit_ns) * 1e-9
+                          : 0.0;
+}
+
+double Completion::SubmissionSeconds() const {
+  MutexLock lk(&mu_);
+  const double pipeline = handle_ != nullptr ? handle_->SubmissionSeconds()
+                                             : 0.0;
+  if (pipeline <= 0.0) return 0.0;
+  return static_cast<double>(queue_end_ns() - submit_ns) * 1e-9 + pipeline;
 }
 
 }  // namespace cjoin

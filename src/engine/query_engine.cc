@@ -132,63 +132,6 @@ const char* RouteLabel(RouteChoice route) {
   return route == RouteChoice::kCJoin ? "cjoin" : "baseline";
 }
 
-/// One completed query's report to the route calibrator and the metrics
-/// registry, shared by the three completion paths (admitted CJOIN,
-/// deferred-grant CJOIN, baseline). Every completion records the
-/// engine-wide per-route and per-tenant latency histograms and the
-/// outcome counter; only successful kAuto-routed queries carry
-/// calibration evidence (work_units > 0). [submit_ns, queue_end_ns) is
-/// attributed to queueing, [queue_end_ns, done_ns) to service.
-void ObserveCompletion(RouteCalibrator* cal, QueryEngine* engine,
-                       const std::shared_ptr<obs::QueryTrace>& trace,
-                       RouteChoice route, const std::string& tenant,
-                       double work_units, const Result<ResultSet>& result,
-                       int64_t submit_ns, int64_t queue_end_ns,
-                       int64_t done_ns) {
-  if (trace != nullptr && obs::MetricsEnabled()) {
-    // Retain the span trace for the flight recorder's Perfetto dump
-    // (re-emitted as async "query" events) and, past the threshold, for
-    // the slow-query log.
-    obs::FlightRecorder::Global().NoteQueryTrace(trace);
-    const int64_t threshold = engine->slow_query_threshold().count();
-    if (threshold > 0 && done_ns - submit_ns >= threshold) {
-      engine->slow_query_log().Record(done_ns - submit_ns, *trace);
-    }
-  }
-  if (obs::MetricsEnabled()) {
-    auto& reg = obs::MetricsRegistry::Global();
-    reg.GetCounter("queries_total",
-                   "Completed queries by route and terminal status",
-                   obs::LabelPair("route", RouteLabel(route)) + "," +
-                       obs::LabelPair("status",
-                                      result.ok() ? "ok" : "error"))
-        ->Add();
-    if (done_ns > submit_ns) {
-      const uint64_t latency = static_cast<uint64_t>(done_ns - submit_ns);
-      reg.GetHistogram("query_latency_ns",
-                       "End-to-end query latency (submit to result)",
-                       obs::LabelPair("route", RouteLabel(route)))
-          ->Record(latency);
-      reg.GetHistogram("tenant_query_latency_ns",
-                       "End-to-end query latency per tenant",
-                       obs::LabelPair("tenant", tenant))
-          ->Record(latency);
-    }
-  }
-  if (work_units <= 0.0 || !result.ok()) return;
-  RouteObservation obs;
-  obs.route = route;
-  obs.work_units = work_units;
-  obs.wall_seconds =
-      done_ns > submit_ns ? static_cast<double>(done_ns - submit_ns) * 1e-9
-                          : 0.0;
-  obs.queue_wait_seconds =
-      queue_end_ns > submit_ns
-          ? static_cast<double>(queue_end_ns - submit_ns) * 1e-9
-          : 0.0;
-  cal->Observe(obs);
-}
-
 }  // namespace
 
 QueryEngine::QueryEngine(Options options)
@@ -444,49 +387,41 @@ Result<QueryEngine::StarEntry*> QueryEngine::ResolveRequest(
   return entry;
 }
 
-Result<std::unique_ptr<QueryHandle>> QueryEngine::SubmitToCJoin(
-    StarEntry* entry, const std::shared_ptr<ExecPool>& pool,
-    StarQuerySpec spec, CJoinOperator::SubmitOptions options) {
-  // Exact snapshot semantics under concurrent appends: every shard's
-  // continuous scan covers rows up to its last freeze, so while appends
-  // beyond the pool-wide covered bound exist, cap the query's snapshot at
-  // it (the min over shards — the snapshot then reads identical data on
-  // every shard). Deletes never need capping — deleted rows stay inside
-  // the scanned ranges and are filtered per row by xmax.
-  const SnapshotId covered = pool->op->covered_snapshot();
-  if (entry->last_append_snapshot.load(std::memory_order_acquire) >
-      covered) {
-    spec.snapshot = std::min(spec.snapshot, covered);
-  }
-  return pool->op->Submit(std::move(spec), std::move(options));
-}
-
 Result<std::unique_ptr<QueryTicket>> QueryEngine::Execute(
     QueryRequest request) {
+  // The one object every outcome below resolves; its clock starts here.
+  auto c = std::make_shared<Completion>();
+  c->finalizer = [this](const Completion& done,
+                        const Result<ResultSet>& result) {
+    Finalize(done, result);
+  };
   if (shut_down_) return Status::FailedPrecondition("engine shut down");
+  RouteDecision decision;
   if (draining_.load(std::memory_order_acquire)) {
     // Graceful-shutdown shedding follows the uniform-ticket contract:
     // Execute() succeeds and the refusal resolves through the ticket,
     // so callers (and the wire protocol) see one error path.
-    RouteDecision decision;
     decision.reason = "draining";
     decision.admission = "shed (engine draining)";
-    return std::make_unique<QueryTicket>(
-        std::move(decision), request.label, SnapshotId{0},
-        Result<ResultSet>(Status::Aborted("engine draining for shutdown")));
+    c->label = request.label;
+    c->Reject(Status::Aborted("engine draining for shutdown"));
+    return std::make_unique<QueryTicket>(std::move(decision), std::move(c));
   }
   CJOIN_ASSIGN_OR_RETURN(StarEntry * entry, ResolveRequest(&request));
   std::shared_ptr<ExecPool> pool = PoolFor(entry);
-  const std::string tenant = TenantOrDefault(request.tenant);
+  c->tenant = TenantOrDefault(request.tenant);
+  c->label = request.spec.label;
+  c->set_snapshot(request.spec.snapshot);
+  const std::string& tenant = c->tenant;
 
   // Always-on span trace (skipped entirely when metrics are disabled):
   // every layer this query crosses appends to it through the shared_ptr
   // threaded along the submission.
-  std::shared_ptr<obs::QueryTrace> trace;
   if (obs::MetricsEnabled()) {
-    trace = std::make_shared<obs::QueryTrace>();
-    trace->set_tenant(tenant);
+    c->trace = std::make_shared<obs::QueryTrace>();
+    c->trace->set_tenant(tenant);
   }
+  const std::shared_ptr<obs::QueryTrace>& trace = c->trace;
 
   int64_t deadline_ns = request.deadline_ns;
   if (deadline_ns == 0 && request.timeout.count() > 0) {
@@ -495,7 +430,6 @@ Result<std::unique_ptr<QueryTicket>> QueryEngine::Execute(
 
   // §3.2.3: the optimizer choice. A per-query aggregator override is
   // CJOIN machinery, so it forces that path.
-  RouteDecision decision;
   RoutePolicy policy = request.aggregator_factory != nullptr
                            ? RoutePolicy::kCJoin
                            : request.policy;
@@ -524,299 +458,247 @@ Result<std::unique_ptr<QueryTicket>> QueryEngine::Execute(
     }
   }
   decision.tenant = tenant;
+  c->route = decision.choice;
+  if (!decision.forced) {
+    c->work_units = decision.choice == RouteChoice::kCJoin
+                        ? decision.cjoin_work_units
+                        : decision.baseline_work_units;
+  }
   if (trace != nullptr) trace->set_route(RouteLabel(decision.choice));
   obs::RecordEvent(obs::EventKind::kRoute, RouteLabel(decision.choice));
 
   // Uniform-ticket contract: an already-expired deadline resolves through
   // the ticket (kDeadlineExceeded from Wait()) on BOTH routes — Execute()
-  // itself only fails on submission errors. No quota is consumed.
+  // itself only fails on malformed requests. No quota is consumed.
   if (deadline_ns != 0 && QueryRuntime::NowNs() >= deadline_ns) {
-    auto expired = std::make_unique<QueryTicket>(
-        std::move(decision), request.spec.label, request.spec.snapshot,
-        Result<ResultSet>(
-            Status::DeadlineExceeded("deadline expired before submission")));
-    expired->set_trace(std::move(trace));
-    return expired;
+    c->Reject(Status::DeadlineExceeded("deadline expired before submission"));
+    return std::make_unique<QueryTicket>(std::move(decision), std::move(c));
   }
 
+  // Only CJOIN submissions may park. The grant closure (and its copy of
+  // the spec) is built lazily, under the gate's lock, only if the verdict
+  // is kQueued — the common admitted / shed paths never pay for it.
+  AdmissionController::GrantFactory make_grant;
   if (decision.choice == RouteChoice::kCJoin) {
-    // The grant closure (and its captured copy of the spec) is built
-    // lazily, under the gate's lock, only if the verdict is kQueued —
-    // the common admitted / shed paths never pay for it.
-    std::shared_ptr<DeferredQuery> deferred;
-    AdmissionController::GrantFactory make_grant =
-        [&]() -> AdmissionController::GrantFn {
-      deferred = std::make_shared<DeferredQuery>();
-      deferred->label = request.spec.label;
-      deferred->snapshot = request.spec.snapshot;
-      deferred->trace = trace;
-      deferred->submit_ns.store(QueryRuntime::NowNs(),
-                                std::memory_order_relaxed);
-      return MakeDeferredGrant(entry, deferred, request.spec,
-                               request.aggregator_factory, tenant,
-                               deadline_ns,
-                               decision.forced ? 0.0
-                                               : decision.cjoin_work_units);
-    };
-    const int64_t adm0 = trace != nullptr ? obs::NowNs() : 0;
-    AdmissionDecision ad = admission_->TryAdmit(
-        tenant, RouteChoice::kCJoin, deadline_ns, std::move(make_grant));
-    if (trace != nullptr) {
-      trace->AddSpan(obs::SpanKind::kAdmission,
-                     AdmissionOutcomeName(ad.outcome), adm0, obs::NowNs());
-    }
-    decision.admission = FormatAdmission(ad);
-    switch (ad.outcome) {
-      case AdmissionOutcome::kAdmitted:
-        return SubmitAdmittedCJoin(entry, pool, std::move(request),
-                                   std::move(decision), tenant, deadline_ns,
-                                   std::move(trace));
-      case AdmissionOutcome::kQueued: {
-        std::future<Result<ResultSet>> fut = deferred->promise.get_future();
-        {
-          MutexLock lk(&deferred->mu);
-          // The grant may already have fired (and with it the waiter's
-          // lifetime). The weak capture covers the remaining race: a
-          // copy of this hook taken by Cancel() can run after the
-          // engine — and the controller — are gone.
-          if (!deferred->waiter_done) {
-            deferred->cancel_waiter =
-                [weak = std::weak_ptr<AdmissionController>(admission_),
-                 id = ad.waiter_id] {
-              if (std::shared_ptr<AdmissionController> ctrl = weak.lock()) {
-                ctrl->CancelWaiter(id);
-              }
-            };
-          }
+    make_grant = [&]() -> AdmissionController::GrantFn {
+      c->MarkQueueStart(QueryRuntime::NowNs());
+      return [this, entry, c, spec = request.spec,
+              aggregator = request.aggregator_factory,
+              deadline_ns](Status st) mutable {
+        if (!st.ok()) {
+          // Wait timed out / deadline expired / cancelled / shutdown: no
+          // slot is held.
+          c->Reject(std::move(st));
+          return;
         }
-        auto queued = std::make_unique<QueryTicket>(
-            std::move(decision), std::move(deferred), std::move(fut));
-        queued->set_trace(std::move(trace));
-        return queued;
-      }
-      case AdmissionOutcome::kShed: {
-        auto shed = std::make_unique<QueryTicket>(
-            std::move(decision), request.spec.label, request.spec.snapshot,
-            Result<ResultSet>(ad.status));
-        shed->set_trace(std::move(trace));
-        return shed;
-      }
-    }
+        c->HoldSlot();
+        if (c->trace != nullptr) {
+          c->trace->AddSpan(obs::SpanKind::kWaitQueue, "",
+                            c->queue_start_ns(), obs::NowNs());
+        }
+        // This submission runs on the controller's single service thread,
+        // where every id grace wait head-of-line delays other grants and
+        // waiter expiries — and the slot that granted us was released at
+        // delivery, so its id is only a prompt pipeline cleanup away.
+        // Keep the bridge short.
+        (void)SubmitCJoin(entry, *PoolFor(entry), c, std::move(spec),
+                          std::move(aggregator), deadline_ns,
+                          /*id_grace_ns=*/50'000'000);
+      };
+    };
   }
-
   const int64_t adm0 = trace != nullptr ? obs::NowNs() : 0;
-  AdmissionDecision ad =
-      admission_->TryAdmit(tenant, RouteChoice::kBaseline, deadline_ns);
+  const AdmissionDecision ad = admission_->TryAdmit(
+      tenant, decision.choice, deadline_ns, std::move(make_grant));
   if (trace != nullptr) {
     trace->AddSpan(obs::SpanKind::kAdmission,
                    AdmissionOutcomeName(ad.outcome), adm0, obs::NowNs());
   }
   decision.admission = FormatAdmission(ad);
-  if (ad.outcome == AdmissionOutcome::kShed) {
-    auto shed = std::make_unique<QueryTicket>(
-        std::move(decision), request.spec.label, request.spec.snapshot,
-        Result<ResultSet>(ad.status));
-    shed->set_trace(std::move(trace));
-    return shed;
+  switch (ad.outcome) {
+    case AdmissionOutcome::kShed:
+      c->Reject(ad.status);
+      break;
+    case AdmissionOutcome::kQueued:
+      // The grant may already have fired, in which case the waiter is
+      // gone and the binding is skipped. The weak capture covers a
+      // Cancel() that runs after the engine — and the controller — are
+      // gone.
+      c->BindWaiter([weak = std::weak_ptr<AdmissionController>(admission_),
+                     id = ad.waiter_id] {
+        if (std::shared_ptr<AdmissionController> ctrl = weak.lock()) {
+          ctrl->CancelWaiter(id);
+        }
+      });
+      break;
+    case AdmissionOutcome::kAdmitted: {
+      c->HoldSlot();
+      const Status st =
+          decision.choice == RouteChoice::kCJoin
+              ? SubmitCJoin(entry, *pool, c, std::move(request.spec),
+                            std::move(request.aggregator_factory),
+                            deadline_ns,
+                            CJoinOperator::SubmitOptions{}.id_acquire_grace_ns)
+              : SubmitBaseline(c, std::move(request), deadline_ns);
+      if (st.code() == StatusCode::kResourceExhausted) {
+        // The backend refused what the gate let through (pool queue cap,
+        // query ids still taken): the caller experienced a shed.
+        decision.admission = "shed (" + st.message() + ")";
+      }
+      break;
+    }
   }
+  return std::make_unique<QueryTicket>(std::move(decision), std::move(c));
+}
+
+Status QueryEngine::SubmitCJoin(StarEntry* entry, const ExecPool& pool,
+                                const std::shared_ptr<Completion>& c,
+                                StarQuerySpec spec,
+                                AggregatorFactory aggregator,
+                                int64_t deadline_ns, int64_t id_grace_ns) {
+  // Exact snapshot semantics under concurrent appends: every shard's
+  // continuous scan covers rows up to its last freeze, so while appends
+  // beyond the pool-wide covered bound exist, cap the query's snapshot at
+  // it (the min over shards — the snapshot then reads identical data on
+  // every shard). Deletes never need capping — deleted rows stay inside
+  // the scanned ranges and are filtered per row by xmax.
+  const SnapshotId covered = pool.op->covered_snapshot();
+  if (entry->last_append_snapshot.load(std::memory_order_acquire) >
+      covered) {
+    spec.snapshot = std::min(spec.snapshot, covered);
+  }
+  CJoinOperator::SubmitOptions so;
+  so.aggregator_factory = std::move(aggregator);
+  so.deadline_ns = deadline_ns;
+  so.assume_normalized = true;  // ResolveRequest normalized already
+  so.id_acquire_grace_ns = id_grace_ns;
+  so.trace = c->trace;
+  // The observer owns the completion, which owns the handle, which owns
+  // the runtime holding the observer: QueryRuntime::Deliver drops the
+  // observer after its single call, which breaks that cycle.
+  so.completion_observer = [c](const Result<ResultSet>& result) {
+    c->Finish(result);
+  };
+  c->MarkQueueEnd(QueryRuntime::NowNs());
+  Result<std::unique_ptr<QueryHandle>> handle =
+      pool.op->Submit(std::move(spec), std::move(so));
+  if (!handle.ok()) {
+    // Refused before registration: no delivery will follow.
+    c->Reject(handle.status());
+    return handle.status();
+  }
+  c->BindHandle(std::move(*handle));
+  return Status::OK();
+}
+
+Status QueryEngine::SubmitBaseline(const std::shared_ptr<Completion>& c,
+                                   QueryRequest request,
+                                   int64_t deadline_ns) {
   auto job = std::make_shared<BaselineJob>();
   job->spec = std::move(request.spec);
   job->options = request.baseline_options.value_or(opts_.baseline);
   job->priority = request.priority;
   job->deadline_ns = deadline_ns;
-  job->tenant = tenant;
-  job->trace = trace;
-  job->fair_weight = admission_->GetTenantQuota(tenant).weight;
-  // Quota returns on every terminal path — worker completion, sweeper
-  // cancel / deadline, pool shutdown — via the resolve hook; successful
-  // kAuto-routed completions also feed the route calibrator. The raw
-  // BaselineJob pointer is safe: the hook only runs while the job is
-  // being resolved (a shared_ptr capture would be a reference cycle).
-  job->on_finished = [ctrl = admission_.get(), eng = this, tenant,
-                      cal = &calibrator_,
-                      work = decision.forced ? 0.0
-                                             : decision.baseline_work_units,
-                      j = job.get()](const Result<ResultSet>& result) {
-    ctrl->Release(tenant, RouteChoice::kBaseline);
-    // Pool-queue residence (submit -> worker start) is waiting, not
-    // work: it is attributed out of the fitted service time.
-    ObserveCompletion(cal, eng, j->trace, RouteChoice::kBaseline, tenant,
-                      work, result,
-                      j->submit_ns.load(std::memory_order_relaxed),
-                      j->start_ns.load(std::memory_order_relaxed),
-                      j->completed_ns.load(std::memory_order_relaxed));
-  };
-  std::future<Result<ResultSet>> fut = job->promise.get_future();
+  job->tenant = c->tenant;
+  job->fair_weight = admission_->GetTenantQuota(c->tenant).weight;
+  job->completion = c;
+  c->MarkQueueStart(QueryRuntime::NowNs());
   if (Status st = baseline_pool_->Enqueue(job); !st.ok()) {
-    if (st.code() == StatusCode::kResourceExhausted) {
-      // Never entered the pool: the resolve hook will not run, and the
-      // caller experienced a shed, not an admitted query.
-      admission_->ReleaseAsShed(tenant, RouteChoice::kBaseline);
-      decision.admission = "shed (baseline pool queue full)";
-      auto shed = std::make_unique<QueryTicket>(
-          std::move(decision), job->spec.label, job->spec.snapshot,
-          Result<ResultSet>(std::move(st)));
-      shed->set_trace(std::move(trace));
-      return shed;
-    }
-    // Pool shut down: Enqueue resolved the promise (kAborted) and the
-    // hook released the quota; the ticket surfaces the result.
+    c->Reject(st);
+    return st;
   }
-  auto ticket = std::make_unique<QueryTicket>(std::move(decision),
-                                             std::move(job), std::move(fut));
-  ticket->set_trace(std::move(trace));
-  return ticket;
+  // The hook and the job reference each other until the job resolves;
+  // resolution drops the hook.
+  c->BindBackend(
+      [job] { job->cancel.store(true, std::memory_order_release); });
+  return Status::OK();
 }
 
-Result<std::unique_ptr<QueryTicket>> QueryEngine::SubmitAdmittedCJoin(
-    StarEntry* entry, const std::shared_ptr<ExecPool>& pool,
-    QueryRequest request, RouteDecision decision, const std::string& tenant,
-    int64_t deadline_ns, std::shared_ptr<obs::QueryTrace> trace) {
-  CJoinOperator::SubmitOptions so;
-  so.aggregator_factory = std::move(request.aggregator_factory);
-  so.deadline_ns = deadline_ns;
-  so.assume_normalized = true;  // ResolveRequest normalized already
-  so.reject_when_full = true;   // the freelist must never block (ROADMAP)
-  so.trace = trace;
-  // Quota release first, then the calibrator observation (successful
-  // kAuto completions only — an immediately-admitted CJOIN query never
-  // waited, so its whole wall clock is service).
-  so.completion_observer = [ctrl = admission_.get(), eng = this, trace,
-                            tenant, cal = &calibrator_,
-                            work = decision.forced ? 0.0
-                                                   : decision.cjoin_work_units,
-                            submitted = QueryRuntime::NowNs()](
-                               const Result<ResultSet>& result) {
-    ctrl->Release(tenant, RouteChoice::kCJoin);
-    ObserveCompletion(cal, eng, trace, RouteChoice::kCJoin, tenant, work,
-                      result, submitted, submitted, QueryRuntime::NowNs());
-  };
-  const std::string label = request.spec.label;
-  const SnapshotId snap = request.spec.snapshot;
-  Result<std::unique_ptr<QueryHandle>> handle =
-      SubmitToCJoin(entry, pool, std::move(request.spec), std::move(so));
-  if (!handle.ok()) {
-    // The observer never fired; give the slot back ourselves.
-    admission_->Release(tenant, RouteChoice::kCJoin);
-    if (handle.status().code() == StatusCode::kResourceExhausted) {
-      // Freelist raced ahead of the admission bookkeeping (slots release
-      // at Deliver, ids at cleanup): degrade by rejecting, not stalling.
-      decision.admission = "shed (pipeline query ids exhausted)";
-      auto shed = std::make_unique<QueryTicket>(
-          std::move(decision), label, snap,
-          Result<ResultSet>(handle.status()));
-      shed->set_trace(std::move(trace));
-      return shed;
+void QueryEngine::Finalize(const Completion& c,
+                           const Result<ResultSet>& result) {
+  const bool reached = c.reached_backend();
+  if (c.slot_held()) {
+    // A slot consumed for a query no backend accepted is the shed its
+    // caller experienced, not an admitted+released round trip.
+    if (reached) {
+      admission_->Release(c.tenant, c.route);
+    } else {
+      admission_->ReleaseAsShed(c.tenant, c.route);
     }
-    return handle.status();
   }
-  auto ticket = std::make_unique<QueryTicket>(std::move(decision),
-                                              std::move(*handle));
-  ticket->set_trace(std::move(trace));
-  return ticket;
-}
-
-AdmissionController::GrantFn QueryEngine::MakeDeferredGrant(
-    StarEntry* entry, std::shared_ptr<DeferredQuery> deferred,
-    StarQuerySpec spec, AggregatorFactory aggregator, std::string tenant,
-    int64_t deadline_ns, double work_units) {
-  return [this, entry, deferred = std::move(deferred),
-          spec = std::move(spec), aggregator = std::move(aggregator),
-          tenant = std::move(tenant), deadline_ns,
-          work_units](Status st) mutable {
-    // Whatever the outcome, the waiter is out of the controller's queue:
-    // drop the waiter-cancel hook so a ticket that outlives the engine
-    // cannot call back into a destroyed controller.
-    bool cancelled;
-    {
-      MutexLock lk(&deferred->mu);
-      deferred->waiter_done = true;
-      deferred->cancel_waiter = nullptr;
-      cancelled = deferred->cancelled;
+  if (!reached) return;
+  const int64_t submit_ns = c.submit_ns;
+  const int64_t queue_end_ns = c.queue_end_ns();
+  const int64_t done_ns = c.done_ns();
+  const bool metrics = obs::MetricsEnabled();
+  if (c.route == RouteChoice::kBaseline) {
+    // A job resolved while still queued (cancel/deadline/abort) never
+    // started: its whole life was queue residence.
+    const int64_t queued = c.queue_start_ns();
+    const int64_t started = queue_end_ns != 0 ? queue_end_ns : done_ns;
+    if (c.trace != nullptr) {
+      c.trace->AddSpan(obs::SpanKind::kBaselineQueue, "", queued, started);
+      if (queue_end_ns != 0) {
+        c.trace->AddSpan(obs::SpanKind::kBaselineRun, "", started, done_ns);
+      }
     }
-    if (!st.ok()) {
-      // Wait timed out / deadline expired / cancelled / shutdown: no slot
-      // is held.
-      deferred->TryResolve(std::move(st));
-      return;
+    if (metrics) {
+      auto& reg = obs::MetricsRegistry::Global();
+      reg.GetHistogram("baseline_queue_wait_ns",
+                       "Baseline pool queue residence")
+          ->Record(static_cast<uint64_t>(
+              std::max<int64_t>(0, started - queued)));
+      if (queue_end_ns != 0) {
+        // The sweeper can resolve a job its worker is just starting.
+        reg.GetHistogram("baseline_run_ns", "Baseline plan execution time")
+            ->Record(static_cast<uint64_t>(
+                std::max<int64_t>(0, done_ns - started)));
+      }
     }
-    // The controller consumed one CJOIN slot on this query's behalf.
-    const int64_t granted = QueryRuntime::NowNs();
-    deferred->granted_ns.store(granted, std::memory_order_relaxed);
-    if (deferred->trace != nullptr) {
-      deferred->trace->AddSpan(
-          obs::SpanKind::kWaitQueue, "",
-          deferred->submit_ns.load(std::memory_order_relaxed), granted);
+  }
+  if (c.trace != nullptr && metrics) {
+    // Retain the span trace for the flight recorder's Perfetto dump
+    // (re-emitted as async "query" events) and, past the threshold, for
+    // the slow-query log.
+    obs::FlightRecorder::Global().NoteQueryTrace(c.trace);
+    const int64_t threshold = slow_query_threshold().count();
+    if (threshold > 0 && done_ns - submit_ns >= threshold) {
+      slow_log_.Record(done_ns - submit_ns, *c.trace);
     }
-    if (cancelled) {
-      admission_->Release(tenant, RouteChoice::kCJoin);
-      deferred->TryResolve(
-          Status::Cancelled("query cancelled while awaiting admission"));
-      return;
+  }
+  if (metrics) {
+    auto& reg = obs::MetricsRegistry::Global();
+    reg.GetCounter("queries_total",
+                   "Completed queries by route and terminal status",
+                   obs::LabelPair("route", RouteLabel(c.route)) + "," +
+                       obs::LabelPair("status",
+                                      result.ok() ? "ok" : "error"))
+        ->Add();
+    if (done_ns > submit_ns) {
+      const uint64_t latency = static_cast<uint64_t>(done_ns - submit_ns);
+      reg.GetHistogram("query_latency_ns",
+                       "End-to-end query latency (submit to result)",
+                       obs::LabelPair("route", RouteLabel(c.route)))
+          ->Record(latency);
+      reg.GetHistogram("tenant_query_latency_ns",
+                       "End-to-end query latency per tenant",
+                       obs::LabelPair("tenant", c.tenant))
+          ->Record(latency);
     }
-    // Grant-time deadline check (the controller re-checks too, but this
-    // closes the last gap): a slot granted to an already-expired query
-    // must not reach the pipeline — it would hold the slot until the
-    // deadline fan-out deregistered it. Return it and resolve without
-    // ever binding a handle.
-    if (deadline_ns != 0 && QueryRuntime::NowNs() >= deadline_ns) {
-      // The query never entered the pipeline: rewrite the slot's
-      // admitted+released round trip into the shed the caller actually
-      // experienced (matching the controller's own grant-time undo).
-      admission_->ReleaseAsShed(tenant, RouteChoice::kCJoin);
-      deferred->TryResolve(Status::DeadlineExceeded(
-          "query deadline expired before its admission grant ran"));
-      return;
-    }
-    std::shared_ptr<ExecPool> pool = PoolFor(entry);
-    CJoinOperator::SubmitOptions so;
-    so.aggregator_factory = std::move(aggregator);
-    so.deadline_ns = deadline_ns;
-    so.assume_normalized = true;
-    so.reject_when_full = true;
-    so.trace = deferred->trace;
-    // This submission runs on the controller's single service thread,
-    // where every per-shard grace wait head-of-line delays other grants
-    // and waiter expiries — and the slot that granted us was released at
-    // delivery, so its id is only a prompt pipeline-cleanup away. Keep
-    // the bridge short.
-    so.id_acquire_grace_ns = 50'000'000;
-    // Forward the query's terminal result into the deferred ticket (its
-    // handle's own future is never consumed); quota releases first. A
-    // successful kAuto completion feeds the calibrator: the wait-queue
-    // residence (submit -> grant) is attributed to queueing, the rest
-    // is CJOIN service.
-    so.completion_observer = [ctrl = admission_.get(), eng = this, deferred,
-                              tenant, cal = &calibrator_,
-                              work_units](const Result<ResultSet>& result) {
-      ctrl->Release(tenant, RouteChoice::kCJoin);
-      ObserveCompletion(cal, eng, deferred->trace, RouteChoice::kCJoin,
-                        tenant, work_units, result,
-                        deferred->submit_ns.load(std::memory_order_relaxed),
-                        deferred->granted_ns.load(std::memory_order_relaxed),
-                        QueryRuntime::NowNs());
-      deferred->TryResolve(result);
-    };
-    Result<std::unique_ptr<QueryHandle>> handle =
-        SubmitToCJoin(entry, pool, std::move(spec), std::move(so));
-    if (!handle.ok()) {
-      admission_->Release(tenant, RouteChoice::kCJoin);
-      deferred->TryResolve(handle.status());
-      return;
-    }
-    bool cancel_now;
-    {
-      MutexLock lk(&deferred->mu);
-      deferred->handle = std::move(*handle);
-      cancel_now = deferred->cancelled;
-    }
-    // A cancel that raced the bind found no handle and no waiter; honor
-    // it now (QueryHandle::Cancel is thread-safe and idempotent).
-    if (cancel_now) {
-      MutexLock lk(&deferred->mu);
-      if (deferred->handle != nullptr) deferred->handle->Cancel();
-    }
-  };
+  }
+  // Only successful kAuto-routed queries carry calibration evidence:
+  // [submit, queue end) is waiting (admission, wait queue, pool queue),
+  // the rest service.
+  if (c.work_units <= 0.0 || !result.ok()) return;
+  RouteObservation obs;
+  obs.route = c.route;
+  obs.work_units = c.work_units;
+  obs.wall_seconds = c.ResponseSeconds();
+  obs.queue_wait_seconds =
+      queue_end_ns > submit_ns
+          ? static_cast<double>(queue_end_ns - submit_ns) * 1e-9
+          : 0.0;
+  calibrator_.Observe(obs);
 }
 
 Result<RouteDecision> QueryEngine::ProbeRoute(QueryRequest request) {
@@ -1106,6 +988,13 @@ Result<SnapshotId> QueryEngine::DeleteFacts(std::string_view star_name,
   CJOIN_RETURN_IF_ERROR(pool->shards->MirrorDelete(*predicate, commit));
   snapshot_.store(commit, std::memory_order_release);
   return commit;
+}
+
+std::vector<std::string> QueryEngine::StarNames() const {
+  ReaderMutexLock lk(&ops_mu_);
+  std::vector<std::string> names;
+  for (const auto& entry : stars_) names.push_back(entry->name);
+  return names;
 }
 
 Result<ShardedCJoinOperator*> QueryEngine::OperatorFor(

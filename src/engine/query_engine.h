@@ -232,6 +232,9 @@ class QueryEngine {
   Result<SnapshotId> DeleteFacts(std::string_view star_name,
                                  const ExprPtr& predicate);
 
+  /// Names of the registered stars, in registration order.
+  std::vector<std::string> StarNames() const EXCLUDES(ops_mu_);
+
   /// The CJOIN pipeline pool of a registered star (for stats and tests).
   /// The pointer is invalidated by SetShardCount on the same star.
   Result<ShardedCJoinOperator*> OperatorFor(std::string_view star_name);
@@ -305,29 +308,28 @@ class QueryEngine {
   /// no exploration, no quota consumed).
   Result<RouteDecision> ProbeRoute(QueryRequest request);
 
-  /// Submits an admitted CJOIN request. On kResourceExhausted from the
-  /// non-blocking pipeline admission the quota is released and the error
-  /// surfaces through an immediate ticket; other submission errors
-  /// propagate as a status.
-  Result<std::unique_ptr<QueryTicket>> SubmitAdmittedCJoin(
-      StarEntry* entry, const std::shared_ptr<ExecPool>& pool,
-      QueryRequest request, RouteDecision decision,
-      const std::string& tenant, int64_t deadline_ns,
-      std::shared_ptr<obs::QueryTrace> trace);
+  /// Hands a query holding a CJOIN slot to the star's pipeline pool —
+  /// the admitted path from Execute() and the wait-queue grant alike —
+  /// and binds the handle to `c`, after capping the snapshot for exact
+  /// semantics under concurrent appends. A refusal (ids still taken after
+  /// `id_grace_ns`, the pool stopping under SetShardCount, the deadline
+  /// just passed) rejects `c` and is returned.
+  Status SubmitCJoin(StarEntry* entry, const ExecPool& pool,
+                     const std::shared_ptr<Completion>& c, StarQuerySpec spec,
+                     AggregatorFactory aggregator, int64_t deadline_ns,
+                     int64_t id_grace_ns);
 
-  /// Grant callback of a wait-queued CJOIN submission: on an OK grant
-  /// (slot consumed by the controller) performs the deferred pipeline
-  /// submission — unless the request's deadline already expired, in
-  /// which case the slot is returned and the ticket resolves
-  /// kDeadlineExceeded without ever binding a handle — and binds the
-  /// handle into `deferred`; on a terminal grant (timeout / cancel /
-  /// shutdown) resolves the deferred ticket. `work_units` (> 0 for
-  /// kAuto decisions) feeds the route calibrator on successful
-  /// completion.
-  AdmissionController::GrantFn MakeDeferredGrant(
-      StarEntry* entry, std::shared_ptr<DeferredQuery> deferred,
-      StarQuerySpec spec, AggregatorFactory aggregator,
-      std::string tenant, int64_t deadline_ns, double work_units);
+  /// Enqueues an admitted baseline query on the worker pool; a refusal
+  /// (queue cap, pool shut down) rejects `c` and is returned.
+  Status SubmitBaseline(const std::shared_ptr<Completion>& c,
+                        QueryRequest request, int64_t deadline_ns);
+
+  /// Every query's completion accounting (Completion::Finalizer): returns
+  /// the admission slot if one is held and, for queries that reached a
+  /// backend, records the completion metrics, the baseline queue/run
+  /// spans, the flight-recorder and slow-query captures, and the route
+  /// calibrator's observation.
+  void Finalize(const Completion& c, const Result<ResultSet>& result);
 
   /// Builds and starts a shard set + operator pool for `star`.
   Result<std::shared_ptr<ExecPool>> MakePool(const StarSchema& star,
@@ -344,16 +346,10 @@ class QueryEngine {
   void SampleForWatchdog(std::vector<obs::Watchdog::StageSample>& stages,
                          std::vector<obs::Watchdog::QueueSample>& queues);
 
-  /// Submits a normalized spec to the star's CJOIN pool with exact
-  /// snapshot capping under concurrent appends.
-  Result<std::unique_ptr<QueryHandle>> SubmitToCJoin(
-      StarEntry* entry, const std::shared_ptr<ExecPool>& pool,
-      StarQuerySpec spec, CJoinOperator::SubmitOptions options);
-
   Options opts_;
-  /// The router feedback loop: fed by the completion observers of every
-  /// kAuto-routed query, consulted (lock-free) by router_. Declared
-  /// before router_, which holds a pointer to it.
+  /// The router feedback loop: fed by Finalize() for every kAuto-routed
+  /// query, consulted (lock-free) by router_. Declared before router_,
+  /// which holds a pointer to it.
   RouteCalibrator calibrator_;
   Router router_;
   /// shared_ptr so a wait-queued ticket's waiter-cancel hook can hold a
@@ -377,7 +373,7 @@ class QueryEngine {
   /// existing ones); read lock-free on the query paths.
   std::atomic<bool> shut_down_{false};
   /// Set by Shutdown(drain_timeout): Execute() sheds new submissions
-  /// with kAborted immediate tickets while in-flight work drains.
+  /// with kAborted tickets while in-flight work drains.
   std::atomic<bool> draining_{false};
 };
 

@@ -23,6 +23,7 @@
 namespace cjoin {
 namespace {
 
+using testing::ExpectQuiescent;
 using testing::MakeTinyStar;
 using testing::TinyStar;
 
@@ -147,6 +148,7 @@ TEST_P(OverloadTest, FloodShedsExcessOtherTenantUnaffectedQuotaReleased) {
     ticket->Cancel();
     (void)ticket->Wait();
   }
+  ExpectQuiescent(engine);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, OverloadTest,
@@ -210,6 +212,7 @@ TEST(WeightedFairTest, HigherWeightTenantDrainsFirst) {
     return sum / static_cast<double>(tickets.size());
   };
   EXPECT_LT(mean_response(light_tickets), mean_response(heavy_tickets));
+  ExpectQuiescent(engine);
 }
 
 // ---------------- Quota release on cancel / deadline ------------------------
@@ -273,6 +276,7 @@ TEST_P(ReleaseTest, CancelAndDeadlineReturnSlots) {
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->inflight_cjoin, 0u);
   EXPECT_EQ(t->released, t->admitted);
+  ExpectQuiescent(engine);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ReleaseTest,
@@ -321,6 +325,7 @@ TEST(LiveQuotaTest, SetTenantQuotaRebalancesLiveEngine) {
     (**q)->Cancel();
     (void)(**q)->Wait();
   }
+  ExpectQuiescent(engine);
 }
 
 TEST(LiveQuotaTest, RateLimitShedsAndUnlimitedRestores) {
@@ -358,6 +363,7 @@ TEST(LiveQuotaTest, RateLimitShedsAndUnlimitedRestores) {
   auto q3 = submit_baseline();
   ASSERT_TRUE(q3.ok());
   EXPECT_TRUE((*q3)->Wait().ok());
+  ExpectQuiescent(engine);
 }
 
 // --------------------- Baseline queue caps ----------------------------------
@@ -405,6 +411,7 @@ TEST(BaselineCapTest, TenantAndPoolQueueCapsShed) {
   const auto* t = FindTenant(stats, "t");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->baseline_in_system, 0u);
+  ExpectQuiescent(engine);
 }
 
 // --------------------- The bounded CJOIN wait queue -------------------------
@@ -453,6 +460,50 @@ TEST(WaitQueueTest, ParkedSubmissionGrantedWhenSlotFrees) {
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->inflight_cjoin, 0u);
   EXPECT_EQ(t->waiting, 0u);
+  ExpectQuiescent(engine);
+}
+
+// A parked ticket is timed from Execute() like any other: its submission
+// time covers the wait-queue residence, and the grant binds a query id.
+TEST(WaitQueueTest, ParkedTicketSubmissionTimeIncludesWaitQueue) {
+  auto ts = MakeTinyStar(50000);
+  SimDisk::Options dopts;
+  dopts.bandwidth_bytes_per_sec = 1.0 * 1024 * 1024;
+  SimDisk disk(dopts);
+  QueryEngine::Options eopts;
+  eopts.cjoin.disk = &disk;
+  QueryEngine engine(eopts);
+  ASSERT_TRUE(engine.RegisterStar("tiny", *ts->star).ok());
+
+  TenantQuota quota;
+  quota.max_inflight_cjoin = 1;
+  quota.max_wait_queue = 1;
+  ASSERT_TRUE(engine.SetTenantQuota("t", quota).ok());
+
+  auto q1 = SubmitCJoin(engine, *ts, "t");
+  ASSERT_TRUE(q1.ok());
+  auto q2 = SubmitCJoin(engine, *ts, "t");
+  const auto parked_since = std::chrono::steady_clock::now();
+  ASSERT_TRUE(q2.ok());
+  EXPECT_EQ((*q2)->decision().admission.rfind("queued", 0), 0u)
+      << (*q2)->decision().admission;
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // q2 is granted only after q1 gives its slot back below, so it sat
+  // parked for at least this long.
+  ASSERT_FALSE((*q1)->Ready());
+  const double parked = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - parked_since)
+                            .count();
+  (*q1)->Cancel();
+  (void)(*q1)->Wait();
+
+  auto rs = (*q2)->Wait();
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_NE((*q2)->query_id(), UINT32_MAX);
+  EXPECT_GE((*q2)->SubmissionSeconds(), parked);
+  EXPECT_GE((*q2)->ResponseSeconds(), (*q2)->SubmissionSeconds());
+  ExpectQuiescent(engine);
 }
 
 // Regression: when the *engine-wide* CJOIN bound (== the id freelist
@@ -497,6 +548,7 @@ TEST(WaitQueueTest, GrantAcrossEngineWideBoundReusesRecycledId) {
 
   (*q2)->Cancel();
   (void)(*q2)->Wait();
+  ExpectQuiescent(engine);
 }
 
 TEST(WaitQueueTest, ParkedSubmissionTimesOutAndRespectsDeadline) {
@@ -542,6 +594,7 @@ TEST(WaitQueueTest, ParkedSubmissionTimesOutAndRespectsDeadline) {
 
   (*q1)->Cancel();
   (void)(*q1)->Wait();
+  ExpectQuiescent(engine);
 }
 
 // -------------- Deadline checked at grant time (regression) -----------------
@@ -643,6 +696,7 @@ TEST(GrantDeadlineTest, ExpiredParkedTicketNeverBindsHandle) {
   const auto* t = FindTenant(stats, "t");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->inflight_cjoin, 0u);
+  ExpectQuiescent(engine);
 }
 
 // --------------------- EXPLAIN ROUTE admission view -------------------------
@@ -686,6 +740,7 @@ TEST(ExplainAdmissionTest, VerdictCarriesTenantStateWithoutConsumingQuota) {
     (**q)->Cancel();
     (void)(**q)->Wait();
   }
+  ExpectQuiescent(engine);
 }
 
 }  // namespace

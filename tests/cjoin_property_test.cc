@@ -9,6 +9,8 @@
 //       a query's result is independent of the surrounding mix.
 //   P3 (churn): query ids can be reused indefinitely under load.
 
+#include <chrono>
+#include <deque>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -75,6 +77,35 @@ StarQuerySpec RandomSpec(const TinyStar& ts, Rng& rng) {
   return spec;
 }
 
+/// Waits (bounded) until an id is free: fewer than `max_concurrent`
+/// queries are registered or awaiting cleanup. Together with holding at
+/// most `max_concurrent` handles, this keeps every Submit() off the id
+/// grace window.
+void WaitForFreeId(const CJoinOperator& op, size_t max_concurrent) {
+  const auto limit =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (op.InFlight() >= max_concurrent &&
+         std::chrono::steady_clock::now() < limit) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// Waits for the oldest outstanding handle and checks its result against
+/// the reference evaluator. `specs` holds every submitted spec in order.
+void CheckOldest(std::deque<std::unique_ptr<QueryHandle>>& handles,
+                 const std::vector<StarQuerySpec>& specs) {
+  const StarQuerySpec& spec = specs[specs.size() - handles.size()];
+  auto rs = handles.front()->Wait();
+  handles.pop_front();
+  ASSERT_TRUE(rs.ok()) << spec.label << ": " << rs.status().ToString();
+  const ResultSet ref =
+      ReferenceEvaluate(NormalizeSpec(StarQuerySpec(spec)).value());
+  EXPECT_TRUE(rs->SameContents(ref))
+      << spec.label << "\ngot:\n" << rs->ToString() << "want:\n"
+      << ref.ToString();
+  EXPECT_EQ(rs->tuples_consumed, ref.tuples_consumed) << spec.label;
+}
+
 struct PropertyParams {
   uint64_t seed;
   uint32_t partitions;
@@ -101,9 +132,10 @@ TEST_P(CJoinPropertyTest, RandomMixMatchesReference) {
   ASSERT_TRUE(op.Start().ok());
 
   // Waves of random queries with random stagger; P1/P2: every result must
-  // match the reference, independent of the mix.
+  // match the reference, independent of the mix. 18 queries share 16 ids:
+  // at most 16 handles are held at once.
   std::vector<StarQuerySpec> specs;
-  std::vector<std::unique_ptr<QueryHandle>> handles;
+  std::deque<std::unique_ptr<QueryHandle>> handles;
   for (int wave = 0; wave < 3; ++wave) {
     for (int q = 0; q < 6; ++q) {
       StarQuerySpec spec = RandomSpec(*ts, rng);
@@ -115,6 +147,10 @@ TEST_P(CJoinPropertyTest, RandomMixMatchesReference) {
         if (spec.partitions.empty()) spec.partitions.push_back(0);
       }
       spec.label = "w" + std::to_string(wave) + "q" + std::to_string(q);
+      if (handles.size() == opts.max_concurrent_queries) {
+        CheckOldest(handles, specs);
+      }
+      WaitForFreeId(op, opts.max_concurrent_queries);
       auto h = op.Submit(spec);
       ASSERT_TRUE(h.ok()) << h.status().ToString();
       specs.push_back(std::move(spec));
@@ -125,16 +161,7 @@ TEST_P(CJoinPropertyTest, RandomMixMatchesReference) {
       }
     }
   }
-  for (size_t i = 0; i < handles.size(); ++i) {
-    auto rs = handles[i]->Wait();
-    ASSERT_TRUE(rs.ok()) << specs[i].label;
-    ResultSet ref =
-        ReferenceEvaluate(NormalizeSpec(StarQuerySpec(specs[i])).value());
-    EXPECT_TRUE(rs->SameContents(ref))
-        << specs[i].label << "\ngot:\n" << rs->ToString() << "want:\n"
-        << ref.ToString();
-    EXPECT_EQ(rs->tuples_consumed, ref.tuples_consumed) << specs[i].label;
-  }
+  while (!handles.empty()) CheckOldest(handles, specs);
   op.Stop();
 }
 
@@ -168,35 +195,23 @@ TEST(CJoinChurnTest, HundredsOfQueriesThroughFewIds) {
   CJoinOperator op(*ts->star, opts);
   ASSERT_TRUE(op.Start().ok());
 
+  // A window of at most 4 handles in flight, each submission waiting for
+  // a free id.
   std::vector<StarQuerySpec> specs;
-  std::vector<std::unique_ptr<QueryHandle>> handles;
+  std::deque<std::unique_ptr<QueryHandle>> handles;
   for (int i = 0; i < 120; ++i) {
+    if (handles.size() == opts.max_concurrent_queries) {
+      CheckOldest(handles, specs);
+    }
+    WaitForFreeId(op, opts.max_concurrent_queries);
     StarQuerySpec spec = RandomSpec(*ts, rng);
     spec.label = "churn" + std::to_string(i);
-    auto h = op.Submit(spec);  // blocks while all 4 ids are taken
-    ASSERT_TRUE(h.ok());
+    auto h = op.Submit(spec);
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
     specs.push_back(std::move(spec));
     handles.push_back(std::move(*h));
-    // Keep a small window in flight.
-    while (handles.size() > 4) {
-      auto rs = handles.front()->Wait();
-      ASSERT_TRUE(rs.ok());
-      const size_t idx = specs.size() - handles.size();
-      EXPECT_TRUE(rs->SameContents(ReferenceEvaluate(
-          NormalizeSpec(StarQuerySpec(specs[idx])).value())))
-          << specs[idx].label;
-      handles.erase(handles.begin());
-    }
   }
-  while (!handles.empty()) {
-    auto rs = handles.front()->Wait();
-    ASSERT_TRUE(rs.ok());
-    const size_t idx = specs.size() - handles.size();
-    EXPECT_TRUE(rs->SameContents(ReferenceEvaluate(
-        NormalizeSpec(StarQuerySpec(specs[idx])).value())))
-        << specs[idx].label;
-    handles.erase(handles.begin());
-  }
+  while (!handles.empty()) CheckOldest(handles, specs);
   const auto stats = op.GetStats();
   EXPECT_EQ(stats.queries_completed, 120u);
   op.Stop();

@@ -75,13 +75,13 @@ TEST(CJoinOperatorTest, SingleQueryMatchesReference) {
 
 TEST(CJoinOperatorTest, CompletionObserverReleasedAfterDelivery) {
   // Regression test (found by the ASan/LeakSanitizer CI job): the
-  // engine's deferred-admission observer captures an owning reference
-  // back to the ticket state whose handle owns this runtime, so a
+  // engine's observer captures an owning reference to the query's
+  // Completion, which owns the handle that owns this runtime, so a
   // retained observer closes a shared_ptr cycle
-  // (DeferredQuery -> QueryHandle -> QueryRuntime -> observer ->
-  // DeferredQuery) and leaks every wait-queued CJOIN query. Deliver()
-  // must destroy the observer — and everything it captured — after its
-  // single invocation, even while the handle is still alive.
+  // (Completion -> QueryHandle -> QueryRuntime -> observer ->
+  // Completion) and leaks every CJOIN query. Deliver() must destroy the
+  // observer — and everything it captured — after its single
+  // invocation, even while the handle is still alive.
   auto ts = MakeTinyStar(500);
   CJoinOperator op(*ts->star, SmallOptions());
   ASSERT_TRUE(op.Start().ok());

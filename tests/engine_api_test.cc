@@ -17,6 +17,7 @@
 namespace cjoin {
 namespace {
 
+using testing::ExpectQuiescent;
 using testing::MakeTinyStar;
 using testing::ReferenceEvaluate;
 using testing::TinyStar;
@@ -42,13 +43,13 @@ StarQuerySpec CountStar(const TinyStar& ts) {
   return spec;
 }
 
-bool WaitForPhase(QueryHandle* handle, QueryPhase phase,
-                  std::chrono::milliseconds timeout) {
+/// Polls until the CJOIN query behind `ticket` is registered in the
+/// pipeline (its submission time becomes known).
+bool WaitRegistered(const QueryTicket& ticket,
+                    std::chrono::milliseconds timeout) {
   const auto limit = std::chrono::steady_clock::now() + timeout;
   while (std::chrono::steady_clock::now() < limit) {
-    if (static_cast<int>(handle->phase()) >= static_cast<int>(phase)) {
-      return true;
-    }
+    if (ticket.SubmissionSeconds() > 0.0) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return false;
@@ -80,6 +81,7 @@ TEST(ExecuteTest, BothRoutesReturnTicketsWithCorrectResults) {
                                    : RouteChoice::kBaseline;
     EXPECT_EQ((*ticket)->route(), expect);
   }
+  ExpectQuiescent(engine);
 }
 
 TEST(ExecuteTest, SqlRequestsWork) {
@@ -94,6 +96,7 @@ TEST(ExecuteTest, SqlRequestsWork) {
   auto rs = (*ticket)->Wait();
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->rows[0][0].AsInt(), 1000);
+  ExpectQuiescent(engine);
 }
 
 TEST(ExecuteTest, ForcedPoliciesAgreeOnSql) {
@@ -111,6 +114,7 @@ TEST(ExecuteTest, ForcedPoliciesAgreeOnSql) {
     ASSERT_TRUE(rs.ok()) << rs.status().ToString();
     EXPECT_EQ(rs->rows[0][0].AsInt(), 1000);
   }
+  ExpectQuiescent(engine);
 }
 
 // --------------------------- Cancellation -----------------------------------
@@ -139,13 +143,11 @@ TEST(CancelTest, MidLapCancelFreesAndReusesBitVectorSlot) {
   const uint32_t slot = (*t1)->query_id();
 
   // Let it register (mid-lap, not completed), then cancel.
-  ASSERT_TRUE(WaitForPhase((*t1)->cjoin_handle(), QueryPhase::kRegistered,
-                           std::chrono::seconds(10)));
+  ASSERT_TRUE(WaitRegistered(**t1, std::chrono::seconds(10)));
   (*t1)->Cancel();
   auto rs1 = (*t1)->Wait();
   ASSERT_FALSE(rs1.ok());
   EXPECT_EQ(rs1.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ((*t1)->cjoin_handle()->phase(), QueryPhase::kCancelled);
 
   // The next query can only be admitted if the slot was reclaimed; it
   // must get the same id and run to a correct completion.
@@ -163,6 +165,7 @@ TEST(CancelTest, MidLapCancelFreesAndReusesBitVectorSlot) {
   const auto stats = (*op)->GetStats();
   EXPECT_EQ(stats.queries_cancelled, 1u);
   EXPECT_EQ(stats.queries_completed, 1u);
+  ExpectQuiescent(engine);
 }
 
 TEST(CancelTest, BaselineCancelledWhileQueued) {
@@ -203,6 +206,7 @@ TEST(CancelTest, BaselineCancelledWhileQueued) {
 
   auto brs = (*blocker)->Wait();
   ASSERT_TRUE(brs.ok()) << brs.status().ToString();
+  ExpectQuiescent(engine);
 }
 
 // ------------------------------ Deadlines -----------------------------------
@@ -225,6 +229,7 @@ TEST(DeadlineTest, CJoinQueryExpiresMidLap) {
   auto rs = (*ticket)->Wait();
   ASSERT_FALSE(rs.ok());
   EXPECT_EQ(rs.status().code(), StatusCode::kDeadlineExceeded);
+  ExpectQuiescent(engine);
 }
 
 TEST(DeadlineTest, BaselineQueryExpiresMidScan) {
@@ -246,6 +251,7 @@ TEST(DeadlineTest, BaselineQueryExpiresMidScan) {
   auto rs = (*ticket)->Wait();
   ASSERT_FALSE(rs.ok());
   EXPECT_EQ(rs.status().code(), StatusCode::kDeadlineExceeded);
+  ExpectQuiescent(engine);
 }
 
 TEST(DeadlineTest, AlreadyExpiredDeadlineResolvesThroughTicketOnBothRoutes) {
@@ -265,6 +271,7 @@ TEST(DeadlineTest, AlreadyExpiredDeadlineResolvesThroughTicketOnBothRoutes) {
     ASSERT_FALSE(rs.ok());
     EXPECT_EQ(rs.status().code(), StatusCode::kDeadlineExceeded);
   }
+  ExpectQuiescent(engine);
 }
 
 // ------------------------------ Priorities ----------------------------------
@@ -303,6 +310,7 @@ TEST(PriorityTest, HigherPriorityBaselineJobRunsFirst) {
   EXPECT_FALSE(low->Ready());
   ASSERT_TRUE(low->Wait().ok());
   ASSERT_TRUE(blocker->Wait().ok());
+  ExpectQuiescent(engine);
 }
 
 // ---------------------------- kAuto routing ---------------------------------
@@ -359,6 +367,7 @@ TEST(AutoRoutingTest, SelectiveIdleToBaselineConcurrentToCJoin) {
   for (auto& t : background) {
     ASSERT_TRUE(t->Wait().ok());
   }
+  ExpectQuiescent(engine);
 }
 
 // ----------------------------- Galaxy joins ---------------------------------
@@ -385,6 +394,7 @@ TEST(GalaxyTest, DeadlineAppliesToBothSides) {
   auto rs = engine.ExecuteGalaxyJoin(gspec);
   ASSERT_FALSE(rs.ok());
   EXPECT_EQ(rs.status().code(), StatusCode::kDeadlineExceeded);
+  ExpectQuiescent(engine);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 namespace cjoin {
 namespace {
 
+using testing::ExpectQuiescent;
 using testing::MakeTinyStar;
 using testing::TinyStar;
 
@@ -63,6 +64,7 @@ TEST_F(EngineEdgeTest, GalaxyJoinWithEmptySideYieldsEmptyGroups) {
   ASSERT_TRUE(rs2.ok());
   ASSERT_EQ(rs2->num_rows(), 1u);
   EXPECT_EQ(rs2->rows[0][0].AsInt(), 0);
+  ExpectQuiescent(*engine_);
 }
 
 TEST_F(EngineEdgeTest, GalaxyJoinValidatesSpec) {
@@ -109,6 +111,7 @@ TEST_F(EngineEdgeTest, SelfGalaxyJoinOnSameStar) {
     }
   }
   EXPECT_EQ(rs->rows[0][0].AsInt(), expected);
+  ExpectQuiescent(*engine_);
 }
 
 TEST_F(EngineEdgeTest, AppendVisibilityIsImmediateWhenIdle) {
@@ -147,6 +150,7 @@ TEST_F(EngineEdgeTest, AppendVisibilityIsImmediateWhenIdle) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(n, 507);
+  ExpectQuiescent(*engine_);
 }
 
 TEST_F(EngineEdgeTest, OperatorStatsReflectActivity) {
@@ -167,6 +171,7 @@ TEST_F(EngineEdgeTest, OperatorStatsReflectActivity) {
   EXPECT_EQ(stats.dim_table_sizes.size(), 2u);
   EXPECT_EQ(stats.filter_tuples_in.size(), 2u);
   EXPECT_GT(stats.manager_iterations, 0u);
+  ExpectQuiescent(*engine_);
 }
 
 TEST_F(EngineEdgeTest, BaselineAndCJoinAgreeAfterUpdates) {
@@ -196,6 +201,7 @@ TEST_F(EngineEdgeTest, BaselineAndCJoinAgreeAfterUpdates) {
   EXPECT_TRUE(rs->SameContents(*baseline))
       << "cjoin:\n" << rs->ToString() << "baseline:\n"
       << baseline->ToString();
+  ExpectQuiescent(*engine_);
 }
 
 }  // namespace

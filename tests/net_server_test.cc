@@ -31,6 +31,7 @@ namespace cjoin {
 namespace net {
 namespace {
 
+using cjoin::testing::ExpectQuiescent;
 using cjoin::testing::MakeTinyStar;
 using cjoin::testing::TinyStar;
 
@@ -71,21 +72,6 @@ struct Loopback {
   std::unique_ptr<QueryEngine> engine;
   std::unique_ptr<CjoinServer> server;
 };
-
-/// Polls until the engine reports no outstanding work (the admission
-/// totals are the ground truth for "every registration released").
-bool DrainsToIdle(QueryEngine& engine, std::chrono::seconds timeout) {
-  const auto limit = std::chrono::steady_clock::now() + timeout;
-  while (std::chrono::steady_clock::now() < limit) {
-    const auto stats = engine.AdmissionStats();
-    if (stats.total_cjoin_inflight == 0 && stats.total_baseline_in_system == 0 &&
-        stats.total_waiting == 0) {
-      return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return false;
-}
 
 TEST(NetServerTest, HelloQueryRoundTrip) {
   Loopback lb;
@@ -164,7 +150,7 @@ TEST(NetServerTest, SixteenConcurrentConnectionsStream) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(ok.load(), kClients * kQueriesEach);
-  EXPECT_TRUE(DrainsToIdle(*lb.engine, std::chrono::seconds(10)));
+  ExpectQuiescent(*lb.engine);
 
   const CjoinServer::Stats stats = lb.server->GetStats();
   EXPECT_EQ(stats.connections_accepted, static_cast<uint64_t>(kClients));
@@ -198,7 +184,7 @@ TEST(NetServerTest, DisconnectMidQueryCancelsTicket) {
 
   // The disconnect must cancel the tickets and release every CJOIN
   // bit-vector registration — long before the queries would have finished.
-  EXPECT_TRUE(DrainsToIdle(*lb.engine, std::chrono::seconds(10)));
+  ExpectQuiescent(*lb.engine);
 }
 
 TEST(NetServerTest, ExplicitCancelFrame) {
@@ -213,7 +199,7 @@ TEST(NetServerTest, ExplicitCancelFrame) {
   ASSERT_FALSE(qr.ok());
   EXPECT_EQ(qr.status().code(), StatusCode::kCancelled)
       << qr.status().ToString();
-  EXPECT_TRUE(DrainsToIdle(*lb.engine, std::chrono::seconds(10)));
+  ExpectQuiescent(*lb.engine);
 }
 
 TEST(NetServerTest, OverQuotaTenantShedsWithResourceExhausted) {
@@ -247,7 +233,7 @@ TEST(NetServerTest, OverQuotaTenantShedsWithResourceExhausted) {
   }
   EXPECT_EQ(shed, 6);
   client.Close();
-  EXPECT_TRUE(DrainsToIdle(*lb.engine, std::chrono::seconds(10)));
+  ExpectQuiescent(*lb.engine);
 }
 
 TEST(NetServerTest, IngestBecomesVisibleAfterSnapshotAdvances) {

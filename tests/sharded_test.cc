@@ -24,6 +24,7 @@
 namespace cjoin {
 namespace {
 
+using testing::ExpectQuiescent;
 using testing::MakeTinyStar;
 using testing::ReferenceEvaluate;
 using testing::TinyStar;
@@ -358,6 +359,49 @@ TEST(ShardedReshardTest, SetShardCountRebuildsThePool) {
   }
   EXPECT_FALSE(engine.SetShardCount("sales", 0).ok());
   EXPECT_FALSE(engine.SetShardCount("nope", 2).ok());
+}
+
+// An Execute() that picked up the pool just before SetShardCount swapped
+// it submits into a stopping operator; a query registered a moment
+// earlier is aborted by the stop. Either way Execute() returns a ticket
+// and the outcome resolves through it — never as an Execute() error.
+TEST(ShardedReshardTest, ExecuteRacingSetShardCountResolvesThroughTickets) {
+  auto ts = MakeTinyStar(2000);
+  QueryEngine engine(EngineOptions(1));
+  ASSERT_TRUE(engine.RegisterStar("sales", *ts->star).ok());
+  const ResultSet ref = ReferenceEvaluate(*NormalizeSpec(CountStar(*ts)));
+
+  std::atomic<bool> resharding{true};
+  std::thread resharder([&] {
+    for (int i = 0; i < 300; ++i) {
+      EXPECT_TRUE(engine.SetShardCount("sales", i % 2 == 0 ? 2 : 1).ok());
+    }
+    resharding.store(false);
+  });
+  size_t executed = 0, completed = 0, aborted = 0;
+  while (resharding.load()) {
+    QueryRequest req = QueryRequest::FromSpec(CountStar(*ts));
+    req.policy = RoutePolicy::kCJoin;
+    auto ticket = engine.Execute(std::move(req));
+    ++executed;
+    if (!ticket.ok()) {
+      ADD_FAILURE() << "Execute() failed: " << ticket.status().ToString();
+      continue;
+    }
+    auto rs = (*ticket)->Wait();
+    if (rs.ok()) {
+      EXPECT_TRUE(rs->SameContents(ref)) << rs->ToString();
+      ++completed;
+    } else {
+      EXPECT_EQ(rs.status().code(), StatusCode::kAborted)
+          << rs.status().ToString();
+      ++aborted;
+    }
+  }
+  resharder.join();
+  EXPECT_GT(completed, 0u) << executed << " executed, " << aborted
+                           << " aborted";
+  ExpectQuiescent(engine);
 }
 
 // ------------------- Galaxy join over a sharded pool -------------------------

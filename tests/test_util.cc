@@ -1,6 +1,13 @@
 #include "tests/test_util.h"
 
+#include <chrono>
 #include <cstdio>
+#include <numeric>
+#include <thread>
+
+#include <gtest/gtest.h>
+
+#include "engine/query_engine.h"
 
 namespace cjoin {
 namespace testing {
@@ -119,6 +126,52 @@ ResultSet ReferenceEvaluate(const StarQuerySpec& spec) {
     }
   }
   return agg->Finish();
+}
+
+namespace {
+
+/// Names every nonzero counter ExpectQuiescent watches ("" when idle).
+std::string BusyCounters(QueryEngine& engine) {
+  std::string busy;
+  auto note = [&busy](const std::string& what, size_t value) {
+    if (value != 0) busy += " " + what + "=" + std::to_string(value);
+  };
+  const AdmissionController::Stats adm = engine.AdmissionStats();
+  note("admission.cjoin_inflight", adm.total_cjoin_inflight);
+  note("admission.baseline_in_system", adm.total_baseline_in_system);
+  note("admission.waiting", adm.total_waiting);
+  for (const std::string& star : engine.StarNames()) {
+    Result<ShardedCJoinOperator*> op = engine.OperatorFor(star);
+    if (!op.ok()) continue;
+    const std::vector<CJoinOperator::Stats> shards = (*op)->PerShardStats();
+    for (size_t s = 0; s < shards.size(); ++s) {
+      const CJoinOperator::Stats& st = shards[s];
+      const std::string at = star + "/s" + std::to_string(s) + ".";
+      note(at + "inflight", (*op)->shard(s)->InFlight());
+      note(at + "active_queries", st.active_queries);
+      note(at + "pool_in_use", st.pool_in_use);
+      note(at + "dim_table_entries",
+           std::accumulate(st.dim_table_sizes.begin(),
+                           st.dim_table_sizes.end(), size_t{0}));
+      note(at + "submissions_pending", st.submissions_pending);
+      note(at + "admissions_pending", st.admissions_pending);
+      note(at + "cleanups_pending", st.cleanups_pending);
+    }
+  }
+  return busy;
+}
+
+}  // namespace
+
+void ExpectQuiescent(QueryEngine& engine) {
+  const auto limit =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::string busy = BusyCounters(engine);
+  while (!busy.empty() && std::chrono::steady_clock::now() < limit) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    busy = BusyCounters(engine);
+  }
+  EXPECT_EQ(busy, "") << "engine not quiescent after 10 s";
 }
 
 }  // namespace testing

@@ -15,6 +15,9 @@
 #include "storage/table.h"
 
 namespace cjoin {
+
+class QueryEngine;
+
 namespace testing {
 
 /// A tiny hand-built star schema: fact "sales" with dimensions "product"
@@ -45,6 +48,15 @@ std::unique_ptr<TinyStar> MakeTinyStar(uint64_t num_facts = 1000,
 /// aggregator (a different code path than the pipeline's hash
 /// aggregation). Ignores SimDisk; honors snapshots/partitions/predicates.
 ResultSet ReferenceEvaluate(const StarQuerySpec& spec);
+
+/// Expects that every resource a query takes has come back: polls, for at
+/// most 10 s, until the admission totals (CJOIN in flight, baseline in
+/// system, waiting) are 0 and, on every shard of every star, InFlight(),
+/// active_queries, pool_in_use, the summed dim_table_sizes and the three
+/// *_pending counters are 0. Cleanup runs on pipeline threads after
+/// delivery, so a test that just returned from Wait() must poll. Records
+/// a test failure naming the counters that did not drain.
+void ExpectQuiescent(QueryEngine& engine);
 
 }  // namespace testing
 }  // namespace cjoin
