@@ -158,7 +158,7 @@ int main() {
   const size_t kBatch =
       batch_env != nullptr ? static_cast<size_t>(std::atoll(batch_env)) : 128;
   const int kTrials = 3;
-  const size_t kWidth = 2;
+  constexpr size_t kWidth = 2;
 
   PrintHeader("Dimension probe cost: scalar vs batched+prefetched",
               "entries=" + std::to_string(kEntries) +
@@ -172,17 +172,17 @@ int main() {
     static uint8_t row[8] = {};
     int64_t keys[DimensionHashTable::kMaxBatch];
     const uint8_t* rows[DimensionHashTable::kMaxBatch];
-    DimensionHashTable::Entry* ents[DimensionHashTable::kMaxBatch];
+    const uint64_t masks[DimensionHashTable::kMaxBatch * kWidth] = {};
     size_t m = 0;
     for (size_t k = 0; k < kEntries; ++k) {
       keys[m] = static_cast<int64_t>(k);
       rows[m] = row;
       if (++m == DimensionHashTable::kMaxBatch) {
-        ht.InsertBatch(keys, rows, ents, m);
+        ht.InsertOrMerge(keys, rows, masks, m);
         m = 0;
       }
     }
-    if (m > 0) ht.InsertBatch(keys, rows, ents, m);
+    if (m > 0) ht.InsertOrMerge(keys, rows, masks, m);
   }
   std::printf("table loaded: %zu entries\n", ht.size());
 

@@ -5,6 +5,11 @@
 //
 // Expected shape (paper): submission time does NOT depend on n (flat
 // ~2.4s at their scale) and is small relative to response time.
+//
+// Emits one JSON line per n ({"n", "submission_ms", "response_ms"}) and
+// exits 1 when, at the largest n, mean submission time exceeds
+// kMaxSubmissionShare of mean response time: the Pipeline Manager would
+// then be the bottleneck the paper says it is not.
 
 #include <algorithm>
 #include <cstdio>
@@ -14,6 +19,13 @@
 
 using namespace cjoin;
 using namespace cjoin::bench;
+
+namespace {
+
+/// Largest tolerated submission/response ratio at the largest n.
+constexpr double kMaxSubmissionShare = 0.25;
+
+}  // namespace
 
 int main() {
   const bool full = FullScale();
@@ -33,10 +45,6 @@ int main() {
   auto workload =
       MakeWorkload(queries, 5 * ns.back() + warmup + measure, s, 42);
 
-  std::printf("%-24s", "n");
-  for (size_t n : ns) std::printf(" %-10zu", n);
-  std::printf("\n");
-
   std::vector<double> submission, response;
   for (size_t n : ns) {
     SimDisk disk;
@@ -48,13 +56,30 @@ int main() {
     RunResult r = RunWorkload(SystemKind::kCJoin, *db, workload, cfg);
     submission.push_back(r.submission_seconds.mean() * 1e3);
     response.push_back(r.response_seconds.mean() * 1e3);
+    std::printf(
+        "{\"bench\":\"table1_submission_vs_n\",\"n\":%zu,"
+        "\"submission_ms\":%.3f,\"response_ms\":%.3f}\n",
+        n, submission.back(), response.back());
+    std::fflush(stdout);
   }
-  std::printf("%-24s", "Submission time (ms)");
+
+  std::printf("\n%-24s", "n");
+  for (size_t n : ns) std::printf(" %-10zu", n);
+  std::printf("\n%-24s", "Submission time (ms)");
   for (double v : submission) std::printf(" %-10.2f", v);
   std::printf("\n%-24s", "Response time (ms)");
   for (double v : response) std::printf(" %-10.1f", v);
   std::printf(
       "\n\nExpected shape: submission time flat across n and a small "
       "fraction of response time.\n");
+
+  const double share = submission.back() / response.back();
+  if (!(share <= kMaxSubmissionShare)) {
+    std::fprintf(stderr,
+                 "FAIL: at n=%zu submission is %.2f of response time "
+                 "(limit %.2f)\n",
+                 ns.back(), share, kMaxSubmissionShare);
+    return 1;
+  }
   return 0;
 }

@@ -183,14 +183,15 @@ uint32_t CJoinOperator::ClaimQueryId(int64_t grace_ns) {
   return id;
 }
 
-void CJoinOperator::ReleaseQueryId(uint32_t qid) {
+void CJoinOperator::ReleaseQueryIds(const uint32_t* ids, size_t n) {
+  if (n == 0) return;
   MutexLock lk(&id_mu_);
-  free_ids_.push_back(qid);
+  free_ids_.insert(free_ids_.end(), ids, ids + n);
   // Reuse the smallest id first (paper §3.3); keep the freelist sorted
   // descending so back() is the minimum.
   std::sort(free_ids_.begin(), free_ids_.end(),
             std::greater<uint32_t>());
-  id_available_.NotifyOne();
+  id_available_.NotifyAll();
 }
 
 Result<std::unique_ptr<QueryHandle>> CJoinOperator::Submit(
@@ -248,7 +249,7 @@ Result<std::unique_ptr<QueryHandle>> CJoinOperator::Submit(
       if (registered) registry_[qid].reset();
     }
     if (registered) {
-      ReleaseQueryId(qid);
+      ReleaseQueryIds(&qid, 1);
       inflight_.fetch_sub(1, std::memory_order_relaxed);
     }
     return Status::Aborted("operator stopped");
@@ -256,18 +257,28 @@ Result<std::unique_ptr<QueryHandle>> CJoinOperator::Submit(
   return handle;
 }
 
-void CJoinOperator::AdmitQuery(const std::shared_ptr<QueryRuntime>& rt) {
-  TraceLogf(rt->query_id, "mgr", "admit begin");
+void CJoinOperator::AdmitQueries(
+    const std::vector<std::shared_ptr<QueryRuntime>>& batch) {
+  if (batch.empty()) return;
 
   // A query cancelled (or expired) while still queued for admission never
   // loaded dimension state: resolve it here and recycle its id directly.
-  TerminalReason early = TerminalReason::kNone;
-  if (rt->cancel_requested.load(std::memory_order_acquire)) {
-    early = TerminalReason::kCancelled;
-  } else if (rt->DeadlinePassed(QueryRuntime::NowNs())) {
-    early = TerminalReason::kDeadline;
-  }
-  if (early != TerminalReason::kNone) {
+  std::vector<std::shared_ptr<QueryRuntime>> admitted;
+  admitted.reserve(batch.size());
+  const int64_t now = QueryRuntime::NowNs();
+  for (const std::shared_ptr<QueryRuntime>& rt : batch) {
+    TraceLogf(rt->query_id, "mgr", "admit begin");
+    TerminalReason early = TerminalReason::kNone;
+    if (rt->cancel_requested.load(std::memory_order_acquire)) {
+      early = TerminalReason::kCancelled;
+    } else if (rt->DeadlinePassed(now)) {
+      early = TerminalReason::kDeadline;
+    }
+    if (early == TerminalReason::kNone) {
+      rt->phase.store(QueryPhase::kLoading);
+      admitted.push_back(rt);
+      continue;
+    }
     rt->phase.store(QueryPhase::kCancelled);
     rt->Deliver(
         early == TerminalReason::kDeadline
@@ -278,115 +289,133 @@ void CJoinOperator::AdmitQuery(const std::shared_ptr<QueryRuntime>& rt) {
       MutexLock lk(&registry_mu_);
       registry_[qid].reset();
     }
-    ReleaseQueryId(qid);
+    ReleaseQueryIds(&qid, 1);
     inflight_.fetch_sub(1, std::memory_order_relaxed);
     early_cancelled_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  }
+  if (admitted.empty()) return;
+
+  // The batch's ids, and per dimension the batch queries that reference
+  // it (NormalizeSpec leaves at most one predicate per dimension).
+  struct DimLoad {
+    uint32_t qid;
+    const Expr* predicate;
+    SnapshotId snapshot;
+  };
+  std::vector<std::vector<DimLoad>> loads(num_dims_);
+  uint64_t batch_mask[kMaxWidthWords] = {};
+  for (const std::shared_ptr<QueryRuntime>& rt : admitted) {
+    bitops::SetBit(batch_mask, rt->query_id);
+    for (const DimensionPredicate& dp : rt->spec.dim_predicates) {
+      loads[dp.dim_index].push_back(
+          {rt->query_id, dp.predicate.get(), rt->spec.snapshot});
+    }
   }
 
-  rt->phase.store(QueryPhase::kLoading);
-  const uint32_t qid = rt->query_id;
-  const StarQuerySpec& spec = rt->spec;
-
-  // Which dimensions does the query reference?
-  std::vector<bool> referenced(num_dims_, false);
-  for (const DimensionPredicate& dp : spec.dim_predicates) {
-    referenced[dp.dim_index] = true;
-  }
-
-  // Algorithm 1 lines 3-10, plus the id-reuse invariant restoration
-  // (DESIGN.md §5): bit `qid` of every stored tuple must read as
-  // "selected or not referenced" for THIS query before any fact tuple
-  // carries the bit.
+  std::vector<int64_t> keys;
+  std::vector<const uint8_t*> rows;
+  std::vector<uint64_t> masks;
   for (size_t d = 0; d < num_dims_; ++d) {
-    Filter& f = *filters_[d];
-    f.table->SetComplementBit(qid, !referenced[d]);
-    f.table->SetBitForAllEntries(qid, !referenced[d]);
-  }
+    DimensionHashTable& ht = *filters_[d]->table;
 
-  // Algorithm 1 lines 11-16: load selected dimension tuples. Rows that
-  // pass the predicate are staged and inserted through InsertBatch — one
-  // exclusive-lock acquisition and a prefetched bucket schedule per
-  // batch, instead of a lock round-trip and a cold bucket per row.
-  for (const DimensionPredicate& dp : spec.dim_predicates) {
-    const DimensionDef& def = star_.dimension(dp.dim_index);
+    // Algorithm 1 lines 3-10, plus the id-reuse invariant restoration
+    // (DESIGN.md §5), for the whole batch at once: bit q of b_Dj and of
+    // every stored tuple must read as "selected or not referenced" for
+    // each batch query q before any fact tuple carries the bit. Bits of
+    // queries referencing D_j start at 0; the rest at 1.
+    uint64_t unreferenced[kMaxWidthWords];
+    bitops::Copy(unreferenced, batch_mask, width_);
+    for (const DimLoad& l : loads[d]) {
+      bitops::ClearBit(unreferenced, l.qid);
+    }
+    ht.AssignComplementBits(batch_mask, unreferenced);
+    ht.AssignBitsForAllEntries(batch_mask, unreferenced);
+    if (loads[d].empty()) continue;
+
+    // Algorithm 1 lines 11-16: one scan of D_j serves every batch query.
+    // Each row is tested at each query's own snapshot and against its
+    // predicate; a row selected by any of them is merged into H_Dj with
+    // the mask of the queries that selected it.
+    const DimensionDef& def = star_.dimension(d);
     const Table& dim = *def.table;
     const Schema& dschema = dim.schema();
-    DimensionHashTable& ht = *filters_[dp.dim_index]->table;
-
-    int64_t keys[DimensionHashTable::kMaxBatch];
-    const uint8_t* rows[DimensionHashTable::kMaxBatch];
-    DimensionHashTable::Entry* ents[DimensionHashTable::kMaxBatch];
-    size_t m = 0;
-    const auto flush = [&] {
-      ht.InsertBatch(keys, rows, ents, m);
-      for (size_t j = 0; j < m; ++j) {
-        DimensionHashTable::SetEntryBit(ents[j], qid, true);
-      }
-      m = 0;
-    };
-
+    keys.clear();
+    rows.clear();
+    masks.clear();
+    uint64_t row_mask[kMaxWidthWords];
     for (uint32_t p = 0; p < dim.num_partitions(); ++p) {
       for (uint64_t i = 0; i < dim.PartitionRows(p); ++i) {
         const RowId id{p, i};
-        if (!dim.Header(id)->VisibleAt(spec.snapshot)) continue;
+        const RowHeader* header = dim.Header(id);
         const uint8_t* row = dim.RowPayload(id);
-        if (!dp.predicate->EvalBool(dschema, row)) continue;
-        keys[m] = dschema.GetIntAny(row, def.dim_pk_col);
-        rows[m] = row;
-        if (++m == DimensionHashTable::kMaxBatch) flush();
+        bool selected = false;
+        bitops::Zero(row_mask, width_);
+        for (const DimLoad& l : loads[d]) {
+          if (header->VisibleAt(l.snapshot) &&
+              l.predicate->EvalBool(dschema, row)) {
+            bitops::SetBit(row_mask, l.qid);
+            selected = true;
+          }
+        }
+        if (!selected) continue;
+        keys.push_back(dschema.GetIntAny(row, def.dim_pk_col));
+        rows.push_back(row);
+        masks.insert(masks.end(), row_mask, row_mask + width_);
       }
     }
-    if (m > 0) flush();
+    ht.InsertOrMerge(keys.data(), rows.data(), masks.data(), keys.size());
   }
-
-  rt->aggregator = rt->custom_aggregator_factory
-                       ? rt->custom_aggregator_factory(spec)
-                       : opts_.aggregator_factory(spec);
-  bitops::SetBit(manager_active_mask_, qid);
 
   // Algorithm 1 lines 17-22: install in the Preprocessor (which emits the
   // query-start control tuple at an exact stream position).
-  preprocessor_->RequestAdmission(rt);
-  TraceLogf(rt->query_id, "mgr", "admit requested");
+  for (const std::shared_ptr<QueryRuntime>& rt : admitted) {
+    rt->aggregator = rt->custom_aggregator_factory
+                         ? rt->custom_aggregator_factory(rt->spec)
+                         : opts_.aggregator_factory(rt->spec);
+    bitops::SetBit(manager_active_mask_, rt->query_id);
+    preprocessor_->RequestAdmission(rt);
+    TraceLogf(rt->query_id, "mgr", "admit requested");
+  }
 }
 
-void CJoinOperator::CleanupQuery(uint32_t qid) {
-  TraceLogf(qid, "mgr", "cleanup");
-  std::shared_ptr<QueryRuntime> rt;
+void CJoinOperator::CleanupQueries(const std::vector<uint32_t>& qids) {
+  for (uint32_t qid : qids) TraceLogf(qid, "mgr", "cleanup");
+  std::vector<uint32_t> done;
+  done.reserve(qids.size());
   {
     MutexLock lk(&registry_mu_);
-    rt = registry_[qid];
+    for (uint32_t qid : qids) {
+      if (registry_[qid] != nullptr) done.push_back(qid);
+    }
   }
-  if (rt == nullptr) return;
+  if (done.empty()) return;
 
-  bitops::ClearBit(manager_active_mask_, qid);
-
-  // Algorithm 2: complement bits revert to 1 ("does not reference"), the
-  // query's selections are cleared, and dead tuples are collected.
-  std::vector<bool> referenced(num_dims_, false);
-  for (const DimensionPredicate& dp : rt->spec.dim_predicates) {
-    referenced[dp.dim_index] = true;
+  // Algorithm 2: complement bits revert to 1 ("does not reference") and
+  // dead tuples are collected. The finished queries' entry bits are left
+  // as they are: no fact tuple carries those ids any more, GC masks them
+  // out through manager_active_mask_, and admission rewrites every
+  // entry's bit before an id is reused.
+  uint64_t batch_mask[kMaxWidthWords] = {};
+  for (uint32_t qid : done) {
+    bitops::SetBit(batch_mask, qid);
+    bitops::ClearBit(manager_active_mask_, qid);
   }
   for (size_t d = 0; d < num_dims_; ++d) {
-    Filter& f = *filters_[d];
-    f.table->SetComplementBit(qid, true);
-    if (referenced[d]) {
-      f.table->SetBitForAllEntries(qid, false);
-    }
+    DimensionHashTable& ht = *filters_[d]->table;
+    ht.AssignComplementBits(batch_mask, batch_mask);
     if (opts_.gc_dimension_tuples) {
-      f.table->RemoveDeadEntries(manager_active_mask_);
+      ht.RemoveDeadEntries(manager_active_mask_);
     }
   }
 
   {
     MutexLock lk(&registry_mu_);
-    registry_[qid].reset();
+    for (uint32_t qid : done) registry_[qid].reset();
   }
-  ReleaseQueryId(qid);
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  // End of the query's pipeline lifecycle: emit its ordered debug block.
-  TraceFlushQuery(qid);
+  ReleaseQueryIds(done.data(), done.size());
+  inflight_.fetch_sub(done.size(), std::memory_order_relaxed);
+  // End of each query's pipeline lifecycle: emit its ordered debug block.
+  for (uint32_t qid : done) TraceFlushQuery(qid);
 }
 
 void CJoinOperator::MaybeReorderFilters() {
@@ -412,26 +441,32 @@ void CJoinOperator::MaybeReorderFilters() {
 void CJoinOperator::ManagerLoop() {
   auto next_reorder =
       std::chrono::steady_clock::now() + opts_.reorder_interval;
+  std::vector<uint32_t> cleanups;
+  std::vector<std::shared_ptr<QueryRuntime>> submissions;
   for (;;) {
     manager_iterations_.fetch_add(1, std::memory_order_relaxed);
-    // Serve cleanups first (they release query ids), then submissions.
-    bool did_work = false;
-    while (auto qid = cleanup_queue_->TryPop()) {
-      CleanupQuery(*qid);
-      did_work = true;
-    }
-    if (auto rt = submissions_.TryPop()) {
-      AdmitQuery(*rt);
-      did_work = true;
-    }
-    if (!did_work) {
-      if (stop_.load() && submissions_.closed() &&
-          cleanup_queue_->closed() && cleanup_queue_->empty()) {
-        break;
-      }
+    // Closed queues accept nothing more, so once both are closed the
+    // drain below collects everything that will ever arrive.
+    const bool closed = stop_.load() && submissions_.closed() &&
+                        cleanup_queue_->closed();
+    // Drain everything pending: cleanups first (they release query ids),
+    // then submissions.
+    cleanup_queue_->TryPopAll(cleanups);
+    submissions_.TryPopAll(submissions);
+    if (cleanups.empty() && submissions.empty()) {
+      if (closed) break;
+      // Idle: wait briefly for a submission, then take the rest of its
+      // burst with it.
       auto rt = submissions_.PopWithTimeout(std::chrono::milliseconds(2));
-      if (rt.has_value()) AdmitQuery(*rt);
+      if (rt.has_value()) {
+        submissions.push_back(std::move(*rt));
+        submissions_.TryPopAll(submissions);
+      }
     }
+    CleanupQueries(cleanups);
+    AdmitQueries(submissions);
+    cleanups.clear();
+    submissions.clear();
     if (opts_.adaptive_ordering &&
         std::chrono::steady_clock::now() >= next_reorder) {
       MaybeReorderFilters();
@@ -439,8 +474,6 @@ void CJoinOperator::ManagerLoop() {
           std::chrono::steady_clock::now() + opts_.reorder_interval;
     }
   }
-  // Final drain of cleanups so ids/registry end tidy.
-  while (auto qid = cleanup_queue_->TryPop()) CleanupQuery(*qid);
 }
 
 CJoinOperator::Stats CJoinOperator::GetStats() const {

@@ -208,18 +208,30 @@ class CJoinOperator {
   }
 
  private:
+  /// The Pipeline Manager thread. Each iteration drains everything
+  /// pending: every queued cleanup into one CleanupQueries call, then
+  /// every queued submission into one AdmitQueries call. The batch is
+  /// whatever is queued; query ids bound it at max_concurrent_queries.
   void ManagerLoop();
-  /// Algorithm 1 (minus the Preprocessor installation, which the
-  /// Preprocessor itself performs on RequestAdmission).
-  void AdmitQuery(const std::shared_ptr<QueryRuntime>& rt);
-  /// Algorithm 2.
-  void CleanupQuery(uint32_t qid);
+  /// Algorithm 1 for a batch of submissions (minus the Preprocessor
+  /// installation, which the Preprocessor itself performs on
+  /// RequestAdmission). Queries cancelled or expired while queued are
+  /// resolved one by one. For the rest, each dimension gets one masked
+  /// bit pass, and each referenced dimension one table scan (every row
+  /// tested against every batch query at that query's own snapshot) and
+  /// one InsertOrMerge call. Queries then go to the Preprocessor in pop
+  /// order.
+  void AdmitQueries(const std::vector<std::shared_ptr<QueryRuntime>>& batch);
+  /// Algorithm 2 for a batch of finished queries: one complement update
+  /// and one GC pass per dimension, and one id release for the batch.
+  void CleanupQueries(const std::vector<uint32_t>& qids);
   void MaybeReorderFilters();
 
   /// Takes the smallest free id, waiting at most `grace_ns` (0 = not at
   /// all); UINT32_MAX when none freed in time or the operator stopped.
   uint32_t ClaimQueryId(int64_t grace_ns) EXCLUDES(id_mu_);
-  void ReleaseQueryId(uint32_t qid) EXCLUDES(id_mu_);
+  /// Returns `n` ids to the freelist under one id_mu_ hold.
+  void ReleaseQueryIds(const uint32_t* ids, size_t n) EXCLUDES(id_mu_);
 
   const StarSchema& star_;
   Options opts_;

@@ -77,12 +77,9 @@ DimensionHashTable::DimensionHashTable(size_t width_words,
   complement_.reset(new uint64_t[width_]());
 }
 
-void DimensionHashTable::SetComplementBit(size_t query_id, bool value) {
-  if (value) {
-    bitops::AtomicSetBit(complement_.get(), query_id);
-  } else {
-    bitops::AtomicClearBit(complement_.get(), query_id);
-  }
+void DimensionHashTable::AssignComplementBits(const uint64_t* mask,
+                                              const uint64_t* values) {
+  bitops::AssignMaskedWords(complement_.get(), mask, values, width_);
 }
 
 const DimensionHashTable::Entry* DimensionHashTable::ProbeLocked(
@@ -264,50 +261,39 @@ DimensionHashTable::Entry* DimensionHashTable::InsertOrGet(
   return InsertOneLocked(key, row);
 }
 
-void DimensionHashTable::InsertBatch(const int64_t* keys,
-                                     const uint8_t* const* rows, Entry** out,
-                                     size_t n) {
+void DimensionHashTable::InsertOrMerge(const int64_t* keys,
+                                       const uint8_t* const* rows,
+                                       const uint64_t* masks, size_t n) {
   WriterMutexLock lk(&mu_);
-  // Worst case every key is new; ensure the whole call fits up front so
-  // no mid-call rehash invalidates entry pointers already written to
-  // `out` by earlier chunks.
-  ReserveLocked(n);
   while (n > 0) {
     const size_t m = std::min(n, kMaxBatch);
+    // Worst case every key of the chunk is new. A rehash here moves the
+    // entries of earlier chunks, which is fine: none is referenced past
+    // its own merge below.
+    ReserveLocked(m);
     const size_t cur_mask = Mask();
     for (size_t i = 0; i < m; ++i) {
       const uint64_t h = Mix64(static_cast<uint64_t>(keys[i]));
       __builtin_prefetch(&tags_[h & cur_mask], /*rw=*/1, /*locality=*/3);
     }
     for (size_t i = 0; i < m; ++i) {
-      out[i] = InsertOneLocked(keys[i], rows[i]);
+      // The exclusive lock keeps every reader out, so plain ORs suffice.
+      bitops::OrInto(InsertOneLocked(keys[i], rows[i])->bits,
+                     masks + i * width_, width_);
     }
     keys += m;
     rows += m;
-    out += m;
+    masks += m * width_;
     n -= m;
   }
 }
 
-void DimensionHashTable::SetEntryBit(Entry* entry, size_t query_id,
-                                     bool value) {
-  if (value) {
-    bitops::AtomicSetBit(entry->bits, query_id);
-  } else {
-    bitops::AtomicClearBit(entry->bits, query_id);
-  }
-}
-
-void DimensionHashTable::SetBitForAllEntries(size_t query_id, bool value) {
+void DimensionHashTable::AssignBitsForAllEntries(const uint64_t* mask,
+                                                 const uint64_t* values) {
   ReaderMutexLock lk(&mu_);
   for (size_t i = 0; i < cap_; ++i) {
     Entry& e = slots_[i];
-    if (!e.used) continue;
-    if (value) {
-      bitops::AtomicSetBit(e.bits, query_id);
-    } else {
-      bitops::AtomicClearBit(e.bits, query_id);
-    }
+    if (e.used) bitops::AssignMaskedWords(e.bits, mask, values, width_);
   }
 }
 

@@ -25,15 +25,25 @@
 // first, issues a software prefetch for every target tag line, then
 // resolves, keeping up to kMaxBatch independent DRAM loads in flight
 // instead of serializing one full miss latency per fact tuple. Admission
-// inserts batch the same way through InsertBatch().
+// inserts batch the same way through InsertOrMerge().
+//
+// Admission and cleanup work on a whole batch of query ids at once: the
+// Pipeline Manager passes a word mask of the batch's ids, so one pass
+// over the table (AssignBitsForAllEntries) or one insert call
+// (InsertOrMerge, each key carrying the batch's selection mask) serves
+// every query in the batch.
 //
 // Concurrency model (paper §3.3.1: registration proceeds in the Pipeline
 // Manager thread "in parallel with the processing of fact tuples"):
 //   * Filter workers take the shared lock for the duration of a probe
-//     batch and read entry bit-words with relaxed atomics.
-//   * The Pipeline Manager mutates bit-words with atomic RMWs under the
-//     shared lock, and takes the exclusive lock only for structural
-//     changes (insert/rehash/remove).
+//     batch and read entry bit-words and b_Dj with relaxed atomic loads.
+//   * The Pipeline Manager is the single writer of every bit-word, entry
+//     and b_Dj alike. With no second writer, its masked updates are a
+//     relaxed load plus a relaxed store (bitops::AssignMaskedWords), not
+//     atomic RMWs. Bit-only passes run under the shared lock, beside the
+//     probes; structural changes (insert, rehash, GC) take the exclusive
+//     lock, once per dimension per admission batch (InsertOrMerge) and
+//     once per dimension per cleanup batch (RemoveDeadEntries).
 // Mid-flight bit flips are harmless: the Preprocessor keeps the new
 // query's bit at 0 in every fact tuple until registration completes, and
 // a finished query's results were already emitted before cleanup starts.
@@ -96,11 +106,13 @@ class DimensionHashTable {
   SharedMutex& mutex() RETURN_CAPABILITY(mu_) { return mu_; }
 
   /// Complementary bitmap b_Dj words; read with bitops::AtomicLoadWord,
-  /// written via SetComplementBit.
+  /// written via AssignComplementBits.
   const uint64_t* complement() const { return complement_.get(); }
 
-  /// Sets/clears bit `query_id` of b_Dj (atomic; any lock level).
-  void SetComplementBit(size_t query_id, bool value);
+  /// For every bit set in `mask`, sets that bit of b_Dj to the same bit
+  /// of `values` (both width_words() words); other bits are untouched.
+  /// Pipeline Manager only (single writer; lock-free readers are safe).
+  void AssignComplementBits(const uint64_t* mask, const uint64_t* values);
 
   // --- Probe path (caller holds shared lock) ------------------------------
 
@@ -126,23 +138,25 @@ class DimensionHashTable {
   /// exclusive lock internally. Returns the entry (existing or new).
   Entry* InsertOrGet(int64_t key, const uint8_t* row) EXCLUDES(mu_);
 
-  /// Batched InsertOrGet: one exclusive-lock acquisition for the whole
-  /// batch, with the same hash-then-prefetch-then-resolve schedule as
-  /// ProbeBatchLocked. `out[i]` receives the entry for `keys[i]`
-  /// (existing or new, rows[i] attached on first insert). Capacity for
-  /// all n keys is reserved before any insert, so every returned pointer
-  /// stays valid until the next structural change after the call.
-  void InsertBatch(const int64_t* keys, const uint8_t* const* rows,
-                   Entry** out, size_t n) EXCLUDES(mu_);
+  /// Batched insert-and-select: for each i < n, inserts keys[i] as
+  /// InsertOrGet would (rows[i] attached on first insert, bits starting
+  /// at b_Dj) and ORs the width_words() words at masks + i *
+  /// width_words() into its bit-vector. A key repeated within the call
+  /// accumulates every mask; the first row wins. One exclusive-lock
+  /// acquisition for the whole call, with the hash-then-prefetch schedule
+  /// of ProbeBatchLocked. Capacity is reserved per kMaxBatch chunk: a
+  /// rehash between chunks is harmless because no entry pointer leaves
+  /// the call.
+  void InsertOrMerge(const int64_t* keys, const uint8_t* const* rows,
+                     const uint64_t* masks, size_t n) EXCLUDES(mu_);
 
-  /// Atomically sets/clears bit `query_id` of the entry's bit-vector
-  /// (caller holds shared or exclusive lock).
-  static void SetEntryBit(Entry* entry, size_t query_id, bool value);
-
-  /// Sets or clears bit `query_id` across all stored entries (shared lock
-  /// taken internally; atomic per word). Used to restore the bit-vector
-  /// invariant when a query id is (re)assigned — see DESIGN.md §5.
-  void SetBitForAllEntries(size_t query_id, bool value) EXCLUDES(mu_);
+  /// For every stored entry, sets the bits selected by `mask` to those of
+  /// `values` (as AssignComplementBits does for b_Dj). Shared lock taken
+  /// internally, so probes proceed meanwhile. Restores the bit-vector
+  /// invariant for a batch of (re)assigned query ids in one pass — see
+  /// DESIGN.md §5.
+  void AssignBitsForAllEntries(const uint64_t* mask, const uint64_t* values)
+      EXCLUDES(mu_);
 
   /// Removes entries whose bit-vectors are all-zero across `active_words`
   /// mask (i.e. selected by no live query and irrelevant to all).
@@ -217,7 +231,8 @@ class DimensionHashTable {
   /// Bit-vector arena for widths beyond kInlineWords: one `width_` word
   /// block per slot, same index as slots_. Null when bits are inline.
   std::unique_ptr<uint64_t[]> words_ GUARDED_BY(mu_);
-  /// Not guarded: read/written with atomic word ops at any lock level.
+  /// Not guarded: written by the Pipeline Manager alone (relaxed stores),
+  /// read with relaxed atomic loads at any lock level.
   std::unique_ptr<uint64_t[]> complement_;
   /// Mutated under the exclusive lock; read lock-free by size().
   std::atomic<size_t> size_{0};

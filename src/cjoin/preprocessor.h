@@ -9,8 +9,9 @@
 // query are dropped before entering the pipeline.
 //
 // It also owns query registration/finalization within the stream:
-// admission requests prepared by the Pipeline Manager (Algorithm 1) are
-// installed between scan events — the message handoff provides the
+// admission requests prepared by the Pipeline Manager (Algorithm 1, run
+// for a whole batch of submissions at once and handed over in pop order)
+// are installed between scan events — the message handoff provides the
 // "stall" of Algorithm 1 line 17 without parking threads — and per-query
 // completion checkpoints detect when the scan has wrapped around the
 // query's start position (§3.3.2), emitting query-start / query-end
@@ -60,7 +61,8 @@ class Preprocessor {
                EpochTracker* epochs, BatchQueue* out, Options options);
 
   /// Queues a fully-loaded query for installation (Pipeline Manager
-  /// thread; Algorithm 1's final step). Thread-safe.
+  /// thread; Algorithm 1's final step, called for each query of an
+  /// admitted batch once the whole batch is loaded). Thread-safe.
   void RequestAdmission(std::shared_ptr<QueryRuntime> runtime);
 
   /// Thread body. Returns when `stop` becomes true (or the output queue

@@ -8,9 +8,9 @@
 //
 //   * bitops::  — free functions over raw uint64_t word arrays. These are
 //     what the pipeline uses: tuple slots embed their words inline in
-//     pool-allocated memory, and dimension entries update words with atomic
-//     read-modify-writes so query admission can proceed concurrently with
-//     filtering (paper §3.3.1).
+//     pool-allocated memory, and dimension entries update words with
+//     single-writer atomic stores so query admission can proceed
+//     concurrently with filtering (paper §3.3.1).
 //   * BitVector — an owning convenience type (small-buffer optimized) used
 //     off the hot path: bookkeeping, tests, result reporting.
 
@@ -46,23 +46,26 @@ inline bool TestBit(const uint64_t* words, size_t i) {
   return (words[i / kBitsPerWord] >> (i % kBitsPerWord)) & 1;
 }
 
-/// Atomically sets bit i. Safe to run concurrently with readers; used when
-/// the Pipeline Manager flips query bits in live dimension hash tables.
-inline void AtomicSetBit(uint64_t* words, size_t i) {
-  std::atomic_ref<uint64_t> w(words[i / kBitsPerWord]);
-  w.fetch_or(uint64_t{1} << (i % kBitsPerWord), std::memory_order_relaxed);
-}
-
-/// Atomically clears bit i (query finalization, Algorithm 2).
-inline void AtomicClearBit(uint64_t* words, size_t i) {
-  std::atomic_ref<uint64_t> w(words[i / kBitsPerWord]);
-  w.fetch_and(~(uint64_t{1} << (i % kBitsPerWord)),
-              std::memory_order_relaxed);
-}
-
 inline uint64_t AtomicLoadWord(const uint64_t* words, size_t w) {
   std::atomic_ref<const uint64_t> r(words[w]);
   return r.load(std::memory_order_relaxed);
+}
+
+/// For every bit set in `mask`, sets that bit of `words` to the same bit
+/// of `values`. Each touched word is a relaxed atomic load plus a relaxed
+/// atomic store, not a read-modify-write: safe beside concurrent
+/// AtomicLoadWord readers, but the words must have a single writer (the
+/// Pipeline Manager, for dimension bit-vectors). Words whose mask is 0 are
+/// not written.
+inline void AssignMaskedWords(uint64_t* words, const uint64_t* mask,
+                              const uint64_t* values, size_t nwords) {
+  for (size_t i = 0; i < nwords; ++i) {
+    if (mask[i] == 0) continue;
+    std::atomic_ref<uint64_t> w(words[i]);
+    w.store((w.load(std::memory_order_relaxed) & ~mask[i]) |
+                (values[i] & mask[i]),
+            std::memory_order_relaxed);
+  }
 }
 
 inline void Fill(uint64_t* words, size_t nwords, uint64_t value) {

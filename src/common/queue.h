@@ -173,6 +173,19 @@ class BoundedQueue {
     return out;
   }
 
+  /// Non-blocking: moves every queued item into `out` (appending) under
+  /// one lock hold. Returns the number of items moved (0 if empty).
+  size_t TryPopAll(std::vector<T>& out) EXCLUDES(mu_) {
+    MutexLock lk(&mu_);
+    const size_t n = items_.size();
+    if (n == 0) return 0;
+    for (T& item : items_) out.push_back(std::move(item));
+    items_.clear();
+    NotePop();
+    MaybeWakeProducer();
+    return n;
+  }
+
   /// Wakes all waiters regardless of watermarks. Producers call this after
   /// their final Push when running with hysteresis enabled.
   void Flush() EXCLUDES(mu_) {

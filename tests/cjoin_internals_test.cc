@@ -3,7 +3,10 @@
 // the bit-vector invariants of §3.2.1 under query id reuse.
 
 #include <atomic>
+#include <initializer_list>
+#include <map>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +24,29 @@ namespace {
 class DimHashTableTest : public ::testing::Test {
  protected:
   static constexpr size_t kWidth = 2;  // 128 query ids
+
+  /// A `width`-word mask with exactly `bits` set.
+  static std::vector<uint64_t> Mask(std::initializer_list<size_t> bits,
+                                    size_t width = kWidth) {
+    std::vector<uint64_t> m(width, 0);
+    for (size_t b : bits) bitops::SetBit(m.data(), b);
+    return m;
+  }
+
+  /// Inserts `key` (if absent) and selects it for `qids`.
+  void Select(int64_t key, const uint8_t* row,
+              std::initializer_list<size_t> qids) {
+    const std::vector<uint64_t> m = Mask(qids);
+    ht_.InsertOrMerge(&key, &row, m.data(), 1);
+  }
+
+  /// Sets bit `qid` of the complement b_Dj to `value`.
+  void SetComplement(size_t qid, bool value) {
+    const std::vector<uint64_t> m = Mask({qid});
+    const std::vector<uint64_t> zero(kWidth, 0);
+    ht_.AssignComplementBits(m.data(), value ? m.data() : zero.data());
+  }
+
   DimensionHashTable ht_{kWidth, 16};
   uint8_t rows_[64] = {};
 };
@@ -40,10 +66,8 @@ TEST_F(DimHashTableTest, InsertAndProbe) {
 }
 
 TEST_F(DimHashTableTest, InsertIsIdempotentPerKey) {
-  auto* a = ht_.InsertOrGet(7, &rows_[0]);
-  DimensionHashTable::SetEntryBit(a, 3, true);
+  Select(7, &rows_[0], {3});
   auto* b = ht_.InsertOrGet(7, &rows_[1]);  // same key: existing entry
-  EXPECT_EQ(a, b);
   EXPECT_EQ(b->row, &rows_[0]) << "row pointer of first insert wins";
   EXPECT_TRUE(bitops::TestBit(b->bits, 3));
   EXPECT_EQ(ht_.size(), 1u);
@@ -53,8 +77,8 @@ TEST_F(DimHashTableTest, NewEntriesInheritComplement) {
   // b_Dj semantics (§3.2.1): a tuple not in the table behaves as selected
   // by queries that do NOT reference this dimension. New entries must
   // start from that vector.
-  ht_.SetComplementBit(5, true);   // query 5 does not reference this dim
-  ht_.SetComplementBit(9, false);  // query 9 references it
+  SetComplement(5, true);   // query 5 does not reference this dim
+  SetComplement(9, false);  // query 9 references it
   auto* e = ht_.InsertOrGet(1, &rows_[0]);
   EXPECT_TRUE(bitops::TestBit(e->bits, 5));
   EXPECT_FALSE(bitops::TestBit(e->bits, 9));
@@ -62,8 +86,7 @@ TEST_F(DimHashTableTest, NewEntriesInheritComplement) {
 
 TEST_F(DimHashTableTest, GrowsAndKeepsEntries) {
   for (int64_t k = 0; k < 1000; ++k) {
-    auto* e = ht_.InsertOrGet(k, &rows_[k % 64]);
-    DimensionHashTable::SetEntryBit(e, static_cast<size_t>(k % 128), true);
+    Select(k, &rows_[k % 64], {static_cast<size_t>(k % 128)});
   }
   EXPECT_EQ(ht_.size(), 1000u);
   cjoin::ReaderMutexLock lk(&ht_.mutex());
@@ -74,28 +97,68 @@ TEST_F(DimHashTableTest, GrowsAndKeepsEntries) {
   }
 }
 
-TEST_F(DimHashTableTest, SetBitForAllEntries) {
-  for (int64_t k = 0; k < 50; ++k) ht_.InsertOrGet(k, &rows_[0]);
-  ht_.SetBitForAllEntries(17, true);
-  size_t set_count = 0;
-  ht_.ForEachEntry([&](const DimensionHashTable::Entry& e) {
-    if (bitops::TestBit(e.bits, 17)) ++set_count;
+TEST_F(DimHashTableTest, AssignMaskedBitsChangeExactlyTheMaskedBits) {
+  // Width 4 (256 ids): the mask spans all four words. Masked bits take
+  // the value's bits, and every other bit keeps its old value.
+  constexpr size_t kW = 4;
+  DimensionHashTable ht(kW, 16);
+  const std::vector<uint64_t> mask = Mask({3, 64, 130, 255}, kW);
+  const std::vector<uint64_t> values = Mask({3, 130, 200}, kW);  // 200 unmasked
+
+  // Distinct starting patterns: complement all-ones in words 0 and 2, and
+  // entries whose bits depend on the key.
+  const uint64_t ones[kW] = {~uint64_t{0}, 0, ~uint64_t{0}, 0};
+  ht.AssignComplementBits(ones, ones);
+  std::vector<int64_t> keys;
+  std::vector<const uint8_t*> rows;
+  std::vector<uint64_t> masks;
+  for (int64_t k = 0; k < 40; ++k) {
+    keys.push_back(k);
+    rows.push_back(&rows_[0]);
+    for (size_t w = 0; w < kW; ++w) {
+      masks.push_back(0x9E3779B97F4A7C15ull * static_cast<uint64_t>(k + w));
+    }
+  }
+  ht.InsertOrMerge(keys.data(), rows.data(), masks.data(), keys.size());
+
+  auto expect_assigned = [&](const uint64_t* before, const uint64_t* after) {
+    for (size_t b = 0; b < kW * 64; ++b) {
+      const bool want = bitops::TestBit(mask.data(), b)
+                            ? bitops::TestBit(values.data(), b)
+                            : bitops::TestBit(before, b);
+      EXPECT_EQ(bitops::TestBit(after, b), want) << "bit " << b;
+    }
+  };
+
+  std::vector<uint64_t> comp_before(ht.complement(), ht.complement() + kW);
+  ht.AssignComplementBits(mask.data(), values.data());
+  expect_assigned(comp_before.data(), ht.complement());
+
+  std::map<int64_t, std::vector<uint64_t>> before;
+  ht.ForEachEntry([&](const DimensionHashTable::Entry& e) {
+    before[e.key].assign(e.bits, e.bits + kW);
   });
-  EXPECT_EQ(set_count, 50u);
-  ht_.SetBitForAllEntries(17, false);
-  ht_.ForEachEntry([&](const DimensionHashTable::Entry& e) {
-    EXPECT_FALSE(bitops::TestBit(e.bits, 17));
+  ASSERT_EQ(before.size(), 40u);
+  ht.AssignBitsForAllEntries(mask.data(), values.data());
+  size_t seen = 0;
+  ht.ForEachEntry([&](const DimensionHashTable::Entry& e) {
+    expect_assigned(before.at(e.key).data(), e.bits);
+    ++seen;
   });
+  EXPECT_EQ(seen, 40u);
 }
 
 TEST_F(DimHashTableTest, RemoveDeadEntriesKeepsLiveOnes) {
   // Query 2 references the dim and selects keys 0..9; query 4 does not
   // reference it (complement bit set).
-  ht_.SetComplementBit(2, false);
-  ht_.SetComplementBit(4, true);
+  SetComplement(2, false);
+  SetComplement(4, true);
   for (int64_t k = 0; k < 20; ++k) {
-    auto* e = ht_.InsertOrGet(k, &rows_[0]);
-    if (k < 10) DimensionHashTable::SetEntryBit(e, 2, true);
+    if (k < 10) {
+      Select(k, &rows_[0], {2});
+    } else {
+      ht_.InsertOrGet(k, &rows_[0]);
+    }
   }
   uint64_t active[2] = {};
   bitops::SetBit(active, 2);
@@ -129,10 +192,16 @@ TEST_F(DimHashTableTest, ConcurrentProbesDuringBitUpdates) {
       }
     }
   });
+  const std::vector<uint64_t> zero(kWidth, 0);
   for (int round = 0; round < 200; ++round) {
-    const size_t qid = static_cast<size_t>(round % 128);
-    ht_.SetBitForAllEntries(qid, round % 2 == 0);
-    ht_.SetComplementBit(qid, round % 2 == 1);
+    // A batch of two ids per round, one in each word.
+    const std::vector<uint64_t> batch =
+        Mask({static_cast<size_t>(round % 64),
+              static_cast<size_t>(64 + round % 64)});
+    const bool even = round % 2 == 0;
+    ht_.AssignBitsForAllEntries(batch.data(),
+                                even ? batch.data() : zero.data());
+    ht_.AssignComplementBits(batch.data(), even ? zero.data() : batch.data());
   }
   // Structural change under probes too.
   for (int64_t k = 256; k < 512; ++k) ht_.InsertOrGet(k, &rows_[0]);
@@ -170,38 +239,85 @@ TEST_F(DimHashTableTest, ProbeBatchHandlesDuplicatesAndShortBatches) {
   ht_.ProbeBatchLocked(keys, got, 0);  // n=0 is a no-op
 }
 
-TEST_F(DimHashTableTest, InsertBatchMatchesInsertOrGet) {
-  ht_.SetComplementBit(11, true);
-  // Pre-seed some keys scalar-ly; the batch must return the existing
-  // entries for them and create the rest, across a growth boundary.
-  for (int64_t k = 0; k < 100; k += 3) ht_.InsertOrGet(k, &rows_[0]);
-  const size_t pre = ht_.size();
+TEST_F(DimHashTableTest, InsertOrMergeOrsMasksOfARepeatedKey) {
+  // An existing key merges into its stored bits; a key repeated within
+  // one call accumulates every mask, and its first row wins.
+  Select(7, &rows_[0], {1});
+  const int64_t keys[] = {7, 9, 7, 9};
+  const uint8_t* rows[] = {&rows_[1], &rows_[2], &rows_[3], &rows_[4]};
+  std::vector<uint64_t> masks;
+  for (const auto& m : {Mask({2}), Mask({3}), Mask({70}), Mask({127})}) {
+    masks.insert(masks.end(), m.begin(), m.end());
+  }
+  ht_.InsertOrMerge(keys, rows, masks.data(), 4);
 
+  EXPECT_EQ(ht_.size(), 2u);
+  cjoin::ReaderMutexLock lk(&ht_.mutex());
+  const auto* e7 = ht_.ProbeLocked(7);
+  const auto* e9 = ht_.ProbeLocked(9);
+  ASSERT_NE(e7, nullptr);
+  ASSERT_NE(e9, nullptr);
+  EXPECT_EQ(e7->row, &rows_[0]) << "row of the first insert wins";
+  EXPECT_EQ(e9->row, &rows_[2]) << "first row within the call wins";
+  const std::vector<uint64_t> want7 = Mask({1, 2, 70});
+  const std::vector<uint64_t> want9 = Mask({3, 127});
+  for (size_t w = 0; w < kWidth; ++w) {
+    EXPECT_EQ(e7->bits[w], want7[w]) << "word " << w;
+    EXPECT_EQ(e9->bits[w], want9[w]) << "word " << w;
+  }
+}
+
+TEST_F(DimHashTableTest, InsertOrMergeStartsNewKeysAtComplement) {
+  // A new key's bits are b_Dj OR its mask: queries not referencing the
+  // dimension (11, 100) select it, the masked query (40) too, and a
+  // referencing query that did not select it (12) does not.
+  SetComplement(11, true);
+  SetComplement(100, true);
+  SetComplement(12, false);
+  Select(5, &rows_[0], {40});
+  cjoin::ReaderMutexLock lk(&ht_.mutex());
+  const auto* e = ht_.ProbeLocked(5);
+  ASSERT_NE(e, nullptr);
+  const std::vector<uint64_t> want = Mask({11, 40, 100});
+  for (size_t w = 0; w < kWidth; ++w) {
+    EXPECT_EQ(e->bits[w], want[w]) << "word " << w;
+  }
+}
+
+TEST_F(DimHashTableTest, InsertOrMergeKeepsEveryKeyAndMaskAcrossRehash) {
+  // One call of many more than kMaxBatch keys into a 16-entry table: the
+  // chunks rehash several times mid-call, and no key or mask may be lost.
+  for (int64_t k = 0; k < 100; k += 3) Select(k, &rows_[0], {127});
+  const size_t kN = 5 * DimensionHashTable::kMaxBatch + 7;
   std::vector<int64_t> keys;
   std::vector<const uint8_t*> rows;
-  for (int64_t k = 0; k < 300; ++k) {
-    keys.push_back(k);
-    rows.push_back(&rows_[k % 64]);
+  std::vector<uint64_t> masks;
+  for (size_t i = 0; i < kN; ++i) {
+    keys.push_back(static_cast<int64_t>(i) * 1024);  // clustered keys
+    rows.push_back(&rows_[i % 64]);
+    const std::vector<uint64_t> m = Mask({i % 127});
+    masks.insert(masks.end(), m.begin(), m.end());
   }
-  // Duplicate inside the batch itself.
-  keys.push_back(7);
-  rows.push_back(&rows_[63]);
-  std::vector<DimensionHashTable::Entry*> ents(keys.size());
-  ht_.InsertBatch(keys.data(), rows.data(), ents.data(), keys.size());
+  ht_.InsertOrMerge(keys.data(), rows.data(), masks.data(), kN);
 
-  EXPECT_EQ(ht_.size(), 300u);
-  EXPECT_GT(ht_.size(), pre);
   cjoin::ReaderMutexLock lk(&ht_.mutex());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_NE(ents[i], nullptr) << i;
-    EXPECT_EQ(ents[i], ht_.ProbeLocked(keys[i])) << keys[i];
-    EXPECT_EQ(ents[i]->key, keys[i]);
-    EXPECT_TRUE(bitops::TestBit(ents[i]->bits, 11))
-        << "new entries inherit the complement";
+  size_t preseeded = 0;
+  for (int64_t k = 0; k < 100; k += 3) {
+    const auto* e = ht_.ProbeLocked(k);
+    ASSERT_NE(e, nullptr) << k;
+    EXPECT_TRUE(bitops::TestBit(e->bits, 127)) << k;
+    ++preseeded;
   }
-  // In-batch duplicate resolved to one entry.
-  EXPECT_EQ(ents.back(), ents[7]);
-  EXPECT_EQ(ents[7]->row, &rows_[7 % 64]) << "first row wins";
+  // Key 0 is both pre-seeded and in the call.
+  EXPECT_EQ(ht_.size(), preseeded + kN - 1);
+  for (size_t i = 0; i < kN; ++i) {
+    const auto* e = ht_.ProbeLocked(keys[i]);
+    ASSERT_NE(e, nullptr) << keys[i];
+    EXPECT_EQ(e->row, rows[i]) << keys[i];
+    EXPECT_TRUE(bitops::TestBit(e->bits, i % 127)) << keys[i];
+    EXPECT_EQ(bitops::PopCount(e->bits, kWidth), i == 0 ? 2u : 1u)
+        << keys[i];
+  }
 }
 
 TEST_F(DimHashTableTest, RemoveDeadEntriesRepairsCollisionChains) {
@@ -210,11 +326,14 @@ TEST_F(DimHashTableTest, RemoveDeadEntriesRepairsCollisionChains) {
   // interleaved half, and verify every survivor — including ones that
   // were displaced PAST removed keys — is still reachable, both via
   // scalar and batched probes.
-  ht_.SetComplementBit(1, false);
+  SetComplement(1, false);
   const int64_t kN = 350;  // ~68% of the 512-slot table after growth
   for (int64_t k = 0; k < kN; ++k) {
-    auto* e = ht_.InsertOrGet(k * 1024, &rows_[0]);  // clustered keys
-    if (k % 2 == 0) DimensionHashTable::SetEntryBit(e, 1, true);
+    if (k % 2 == 0) {
+      Select(k * 1024, &rows_[0], {1});  // clustered keys
+    } else {
+      ht_.InsertOrGet(k * 1024, &rows_[0]);
+    }
   }
   uint64_t active[2] = {};
   bitops::SetBit(active, 1);
@@ -245,13 +364,12 @@ TEST_F(DimHashTableTest, RemoveDeadEntriesRepairsCollisionChains) {
 TEST_F(DimHashTableTest, RehashPreservesCollisionChains) {
   // Grow across several rehashes with adversarially clustered keys and
   // verify batched and scalar probes agree on every key afterwards.
-  ht_.SetComplementBit(0, false);
+  SetComplement(0, false);
   std::vector<int64_t> keys;
   for (int64_t k = 0; k < 2000; ++k) {
     const int64_t key = (k % 2 == 0) ? k : k * (1 << 20);
     keys.push_back(key);
-    auto* e = ht_.InsertOrGet(key, &rows_[0]);
-    DimensionHashTable::SetEntryBit(e, static_cast<size_t>(k % 128), true);
+    Select(key, &rows_[0], {static_cast<size_t>(k % 128)});
   }
   EXPECT_EQ(ht_.size(), 2000u);
   std::vector<const DimensionHashTable::Entry*> got(keys.size());
@@ -267,12 +385,11 @@ TEST_F(DimHashTableTest, RehashPreservesCollisionChains) {
 TEST_F(DimHashTableTest, ConcurrentBatchProbesDuringInsertAndGc) {
   // TSan-covered stress of the full concurrency contract: filter-side
   // batched probes under the shared lock, racing the Pipeline Manager's
-  // bit flips (shared lock + atomics) and structural changes — batched
-  // inserts, rehashes, and GC passes (exclusive lock).
-  ht_.SetComplementBit(3, false);
+  // masked bit passes (shared lock, single-writer stores) and structural
+  // changes — batched inserts, rehashes, and GC passes (exclusive lock).
+  SetComplement(3, false);
   for (int64_t k = 0; k < 128; ++k) {
-    auto* e = ht_.InsertOrGet(k, &rows_[0]);
-    DimensionHashTable::SetEntryBit(e, 3, true);  // keys 0..127 stay live
+    Select(k, &rows_[0], {3});  // keys 0..127 stay live
   }
   std::atomic<bool> stop{false};
   std::vector<std::thread> probers;
@@ -303,19 +420,24 @@ TEST_F(DimHashTableTest, ConcurrentBatchProbesDuringInsertAndGc) {
   }
   uint64_t active[kWidth] = {};
   bitops::SetBit(active, 3);
+  const std::vector<uint64_t> zero(kWidth, 0);
   int64_t next = 128;
   for (int round = 0; round < 60; ++round) {
     // Batched inserts of transient keys (bit 3 left clear => GC bait).
     int64_t keys[DimensionHashTable::kMaxBatch];
     const uint8_t* rows[DimensionHashTable::kMaxBatch];
-    DimensionHashTable::Entry* ents[DimensionHashTable::kMaxBatch];
+    const uint64_t masks[DimensionHashTable::kMaxBatch * kWidth] = {};
     for (size_t i = 0; i < DimensionHashTable::kMaxBatch; ++i) {
       keys[i] = next++ % 4096;
       rows[i] = &rows_[0];
     }
-    ht_.InsertBatch(keys, rows, ents, DimensionHashTable::kMaxBatch);
+    ht_.InsertOrMerge(keys, rows, masks, DimensionHashTable::kMaxBatch);
     const size_t qid = static_cast<size_t>(round % 128);
-    if (qid != 3) ht_.SetBitForAllEntries(qid, round % 2 == 0);
+    if (qid != 3) {
+      const std::vector<uint64_t> m = Mask({qid});
+      ht_.AssignBitsForAllEntries(m.data(),
+                                  round % 2 == 0 ? m.data() : zero.data());
+    }
     if (round % 10 == 9) ht_.RemoveDeadEntries(active);
   }
   ht_.RemoveDeadEntries(active);

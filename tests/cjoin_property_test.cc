@@ -8,9 +8,14 @@
 //   P2 (isolation): concurrent queries never contaminate each other —
 //       a query's result is independent of the surrounding mix.
 //   P3 (churn): query ids can be reused indefinitely under load.
+//   P4 (versioned dimensions): queries admitted together, each reading
+//       its own snapshot of changing dimension rows, each see exactly
+//       their own snapshot's rows.
 
 #include <chrono>
 #include <deque>
+#include <latch>
+#include <numeric>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -270,6 +275,161 @@ TEST(CJoinStressTest, ParallelSubmittersAndUpdatesViaSnapshots) {
   for (auto& t : submitters) t.join();
   deleter.join();
   EXPECT_FALSE(fail.load());
+  op.Stop();
+}
+
+/// A star query over TinyStar grouped by p_cat, so it always reads
+/// `product`: filtered by a p_id range (which may cover appended
+/// products), by a p_cat match, or not at all; sometimes also by store.
+StarQuerySpec ProductSpec(const TinyStar& ts, int max_product, Rng& rng) {
+  const Schema& ps = ts.product->schema();
+  const Schema& ss = ts.store->schema();
+  StarQuerySpec spec;
+  spec.schema = ts.star.get();
+  switch (rng.UniformInt(0, 2)) {
+    case 0: {
+      const int64_t lo = rng.UniformInt(1, max_product);
+      spec.dim_predicates.push_back(DimensionPredicate{
+          0, MakeBetween(MakeColumnRef(ps, "p_id").value(), Value(lo),
+                         Value(lo + rng.UniformInt(2, 10)))});
+      break;
+    }
+    case 1:
+      spec.dim_predicates.push_back(DimensionPredicate{
+          0, MakeCompare(CmpOp::kEq, MakeColumnRef(ps, "p_cat").value(),
+                         MakeLiteral(Value(
+                             "cat" + std::to_string(rng.UniformInt(0, 3)))))});
+      break;
+    default:
+      break;
+  }
+  if (rng.Bernoulli(0.4)) {
+    spec.dim_predicates.push_back(DimensionPredicate{
+        1, MakeCompare(CmpOp::kNe, MakeColumnRef(ss, "s_region").value(),
+                       MakeLiteral(Value(
+                           "R" + std::to_string(rng.UniformInt(0, 2)))))});
+  }
+  spec.group_by.push_back(ColumnSource::Dim(0, 1));  // p_cat
+  spec.aggregates.push_back(
+      AggregateSpec{AggFn::kCount, std::nullopt, nullptr, "n"});
+  spec.aggregates.push_back(
+      AggregateSpec{AggFn::kSum, ColumnSource::Fact(3), nullptr, "amt"});
+  return spec;
+}
+
+TEST(CJoinVersionedDimTest, BurstsAtMixedSnapshotsOverChangingProducts) {
+  // P4: between rounds, `product` rows are deleted or appended at fresh
+  // snapshots. Each round releases 8 submitters at once, so the Pipeline
+  // Manager admits their queries in batches that mix the last 4
+  // snapshots. Each result must equal the reference at its own snapshot.
+  constexpr int kProducts = 20;
+  constexpr int kAppended = 8;  // product keys 21..28, appended later
+  constexpr int kRounds = 9;
+  constexpr int kThreads = 8;
+  constexpr int kQueriesPerThread = 2;
+  auto ts = MakeTinyStar(2000, kProducts, 6);
+  {
+    // Fact rows whose products do not exist yet: they join a query only
+    // once its snapshot sees the product's append.
+    const Schema& fs = ts->sales->schema();
+    for (int i = 0; i < 400; ++i) {
+      uint8_t* row = ts->sales->AppendUninitialized();
+      fs.SetInt32(row, 0, kProducts + 1 + i % kAppended);
+      fs.SetInt32(row, 1, i % 6 + 1);
+      fs.SetInt32(row, 2, i % 10 + 1);
+      fs.SetInt32(row, 3, (i % 100) * 10);
+    }
+  }
+
+  CJoinOperator::Options opts;
+  opts.max_concurrent_queries = 32;
+  opts.num_worker_threads = 2;
+  opts.pool_capacity = 4096;
+  opts.scan_run_rows = 128;
+  CJoinOperator op(*ts->star, opts);
+  ASSERT_TRUE(op.Start().ok());
+
+  const Schema& ps = ts->product->schema();
+  std::vector<SnapshotId> snapshots = {1};
+  uint64_t completed = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    if (round > 0) {
+      // One delete and, while keys remain, one append, both at a fresh
+      // snapshot. Appended keys are new, so no key ever has two rows.
+      const SnapshotId snap = snapshots.back() + 1;
+      const RowId victim{0, static_cast<uint64_t>((round * 7) % kProducts)};
+      ASSERT_TRUE(ts->product->MarkDeleted(victim, snap).ok());
+      if (round <= kAppended) {
+        const int key = kProducts + round;
+        std::vector<uint8_t> row(ps.row_size());
+        const std::string cat = "cat" + std::to_string(key % 4);
+        ps.SetInt32(row.data(), 0, key);
+        ps.SetChar(row.data(), 1, cat.c_str());
+        ps.SetInt32(row.data(), 2, key * 100);
+        ts->product->AppendRow(row.data(), 0, snap);
+      }
+      snapshots.push_back(snap);
+    }
+
+    std::latch start(kThreads);
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&, t] {
+        Rng rng(static_cast<uint64_t>(round * 100 + t));
+        std::vector<StarQuerySpec> specs;
+        for (int q = 0; q < kQueriesPerThread; ++q) {
+          StarQuerySpec spec = ProductSpec(*ts, kProducts + kAppended, rng);
+          const size_t back = static_cast<size_t>(t * kQueriesPerThread + q) %
+                              std::min<size_t>(4, snapshots.size());
+          spec.snapshot = snapshots[snapshots.size() - 1 - back];
+          spec.label = "r" + std::to_string(round) + "t" + std::to_string(t) +
+                       "q" + std::to_string(q) + "@" +
+                       std::to_string(spec.snapshot);
+          specs.push_back(std::move(spec));
+        }
+        start.arrive_and_wait();
+        std::vector<std::unique_ptr<QueryHandle>> handles;
+        for (const StarQuerySpec& spec : specs) {
+          auto h = op.Submit(spec);
+          EXPECT_TRUE(h.ok()) << spec.label << ": " << h.status().ToString();
+          handles.push_back(h.ok() ? std::move(*h) : nullptr);
+        }
+        for (size_t q = 0; q < specs.size(); ++q) {
+          if (handles[q] == nullptr) continue;
+          auto rs = handles[q]->Wait();
+          EXPECT_TRUE(rs.ok()) << specs[q].label << ": "
+                               << rs.status().ToString();
+          if (!rs.ok()) continue;
+          const ResultSet ref = ReferenceEvaluate(
+              NormalizeSpec(StarQuerySpec(specs[q])).value());
+          EXPECT_TRUE(rs->SameContents(ref))
+              << specs[q].label << "\ngot:\n" << rs->ToString() << "want:\n"
+              << ref.ToString();
+        }
+      });
+    }
+    for (auto& th : submitters) th.join();
+    completed += kThreads * kQueriesPerThread;
+  }
+
+  // Every id, registration and dimension entry comes back.
+  const auto limit =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  CJoinOperator::Stats stats = op.GetStats();
+  auto entries = [](const CJoinOperator::Stats& s) {
+    return std::accumulate(s.dim_table_sizes.begin(), s.dim_table_sizes.end(),
+                           size_t{0});
+  };
+  while ((op.InFlight() != 0 || stats.active_queries != 0 ||
+          entries(stats) != 0) &&
+         std::chrono::steady_clock::now() < limit) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    stats = op.GetStats();
+  }
+  EXPECT_EQ(op.InFlight(), 0u);
+  EXPECT_EQ(stats.active_queries, 0u);
+  EXPECT_EQ(entries(stats), 0u);
+  EXPECT_EQ(stats.queries_completed, completed);
   op.Stop();
 }
 

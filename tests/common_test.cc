@@ -175,19 +175,34 @@ TEST(BitopsTest, AndNotIsZeroIsSubsetTest) {
   EXPECT_FALSE(bitops::AndNotIsZero(a, disjoint, 1));
 }
 
-TEST(BitopsTest, AtomicBitOpsVisibleAcrossThreads) {
-  constexpr size_t kBits = 256;
-  uint64_t words[4] = {};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&words, t] {
-      for (size_t b = static_cast<size_t>(t); b < kBits; b += 4) {
-        bitops::AtomicSetBit(words, b);
+TEST(BitopsTest, AssignMaskedWordsBesideConcurrentReaders) {
+  // One writer assigns masked bits while readers load the words; bits
+  // outside the mask never change.
+  uint64_t words[4] = {~uint64_t{0}, 0, ~uint64_t{0}, 0x5555};
+  const uint64_t mask[4] = {0xF0, 0, 0xFF00, 0x3};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        EXPECT_EQ(bitops::AtomicLoadWord(words, 0) & ~mask[0],
+                  ~uint64_t{0} & ~mask[0]);
+        EXPECT_EQ(bitops::AtomicLoadWord(words, 1), 0u);
       }
     });
   }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(bitops::PopCount(words, 4), kBits);
+  for (uint64_t round = 0; round < 2000; ++round) {
+    const uint64_t v = round % 2 == 0 ? 0 : ~uint64_t{0};
+    const uint64_t values[4] = {v, v, v, v};
+    bitops::AssignMaskedWords(words, mask, values, 4);
+  }
+  stop.store(true);
+  for (auto& th : readers) th.join();
+  // The last round (1999) assigned ones under the mask.
+  EXPECT_EQ(words[0], ~uint64_t{0});
+  EXPECT_EQ(words[1], 0u);
+  EXPECT_EQ(words[2], ~uint64_t{0});
+  EXPECT_EQ(words[3], 0x5557u);
 }
 
 // ------------------------------- Queue -------------------------------------
@@ -233,6 +248,14 @@ TEST(QueueTest, TryPopNonBlocking) {
   EXPECT_FALSE(q.TryPop().has_value());
   q.Push(7);
   EXPECT_EQ(q.TryPop().value(), 7);
+  // TryPopAll moves everything queued, in order, appending to `out`.
+  std::vector<int> out = {0};
+  EXPECT_EQ(q.TryPopAll(out), 0u);
+  q.Push(1);
+  q.Push(2);
+  EXPECT_EQ(q.TryPopAll(out), 2u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(QueueTest, PopWithTimeoutTimesOut) {
