@@ -1,7 +1,7 @@
 // Component microbenchmarks (google-benchmark): the primitive operations
-// on CJOIN's hot paths — hashing, bit-vector combining, the tuple pool,
-// the batch queues, dimension hash probes, predicate evaluation, and
-// aggregation folding.
+// on CJOIN's hot paths — hashing, bit-vector combining, the batch
+// queues, dimension hash probes, predicate evaluation, and aggregation
+// folding.
 
 #include <benchmark/benchmark.h>
 
@@ -10,7 +10,6 @@
 #include "common/hash.h"
 #include "common/queue.h"
 #include "common/rng.h"
-#include "common/tuple_pool.h"
 #include "exec/group_table.h"
 #include "exec/key_row_map.h"
 #include "expr/expr.h"
@@ -64,16 +63,6 @@ void BM_BitvectorForEachSetBit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitvectorForEachSetBit)->Arg(1)->Arg(16)->Arg(128);
-
-void BM_TuplePoolAcquireRelease(benchmark::State& state) {
-  TuplePool pool(4096, 64);
-  for (auto _ : state) {
-    void* p = pool.Acquire();
-    benchmark::DoNotOptimize(p);
-    pool.Release(p);
-  }
-}
-BENCHMARK(BM_TuplePoolAcquireRelease);
 
 void BM_QueuePushPopBatch(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));

@@ -1,5 +1,6 @@
 #include "bench/harness.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -45,11 +46,23 @@ void PrintHeader(const std::string& experiment, const std::string& params) {
 }
 
 obs::LatencySnapshot SnapshotSeconds(const std::vector<double>& seconds) {
-  // Stack allocation would blow typical thread stacks (the bucket array
-  // is a few KB of atomics); heap-allocate the scratch histogram.
-  auto hist = std::make_unique<obs::LatencyHistogram>();
-  for (double s : seconds) hist->RecordSeconds(s);
-  return hist->Snapshot();
+  obs::LatencySnapshot snap;
+  if (seconds.empty()) return snap;
+  std::vector<uint64_t> ns;
+  ns.reserve(seconds.size());
+  for (double s : seconds) {
+    ns.push_back(s > 0.0 ? static_cast<uint64_t>(std::llround(s * 1e9)) : 0);
+  }
+  std::sort(ns.begin(), ns.end());
+  snap.count = ns.size();
+  for (uint64_t v : ns) snap.sum_ns += v;
+  snap.min_ns = ns.front();
+  snap.max_ns = ns.back();
+  snap.p50_ns = NearestRank(ns, 0.50);
+  snap.p90_ns = NearestRank(ns, 0.90);
+  snap.p99_ns = NearestRank(ns, 0.99);
+  snap.p999_ns = NearestRank(ns, 0.999);
+  return snap;
 }
 
 std::vector<StarQuerySpec> MakeWorkload(const ssb::SsbQueries& queries,
@@ -83,7 +96,7 @@ class Meter {
     if (order >= warmup_ && order < warmup_ + measure_) {
       (void)index;
       result_.response_seconds.Add(response_s);
-      response_hist_.RecordSeconds(response_s);
+      response_samples_.push_back(response_s);
       if (submission_s > 0) result_.submission_seconds.Add(submission_s);
       result_.per_template_response[TemplateOf(label)].Add(response_s);
       if (order + 1 == warmup_ + measure_) {
@@ -97,7 +110,7 @@ class Meter {
 
   RunResult Finish() {
     std::lock_guard<std::mutex> lk(mu_);
-    result_.response_latency = response_hist_.Snapshot();
+    result_.response_latency = SnapshotSeconds(response_samples_);
     result_.elapsed_seconds = window_seconds_;
     result_.qph = window_seconds_ > 0
                       ? static_cast<double>(measure_) / window_seconds_ * 3600.0
@@ -114,7 +127,7 @@ class Meter {
   double window_seconds_ = 0.0;
   std::atomic<bool> done_{false};
   RunResult result_;
-  obs::LatencyHistogram response_hist_;
+  std::vector<double> response_samples_;
 };
 
 /// All three systems under test run through the unified

@@ -19,6 +19,8 @@
 #ifndef CJOIN_BENCH_HARNESS_H_
 #define CJOIN_BENCH_HARNESS_H_
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
 #include <vector>
@@ -79,8 +81,7 @@ struct RunResult {
   RunningStat response_seconds;            ///< measured queries
   RunningStat submission_seconds;          ///< CJOIN only
   /// Percentile view of the measured response times (p50/p90/p99/p999),
-  /// from the obs log-bucketed histogram — the same quantile math the
-  /// engine's metrics registry exposes (<= 12.5% bucket error).
+  /// exact nearest-rank over the samples (see SnapshotSeconds).
   obs::LatencySnapshot response_latency;
   std::map<std::string, RunningStat> per_template_response;  ///< by "Qx.y"
   uint64_t disk_seeks = 0;
@@ -104,9 +105,19 @@ std::vector<StarQuerySpec> MakeWorkload(const ssb::SsbQueries& queries,
 /// Strips the "#k" suffix from a workload label ("Q4.2#17" -> "Q4.2").
 std::string TemplateOf(const std::string& label);
 
-/// Folds raw latency samples (seconds) through the obs log-bucketed
-/// histogram and returns its percentile snapshot. The single percentile
-/// implementation for every bench — replaces per-bench sort-based code.
+/// Nearest-rank quantile `q` of `sorted` (ascending, non-empty): the
+/// smallest sample with at least q * n samples at or below it.
+template <typename T>
+T NearestRank(const std::vector<T>& sorted, double q) {
+  const auto k =
+      static_cast<size_t>(std::ceil(q * static_cast<double>(sorted.size())));
+  return sorted[std::clamp<size_t>(k, 1, sorted.size()) - 1];
+}
+
+/// Exact nearest-rank percentiles (and count, sum, min, max) of raw
+/// latency samples in seconds, reported in nanoseconds: the single
+/// percentile implementation for every bench. Unlike obs::LatencyHistogram
+/// it has no bucket error and does not depend on obs::MetricsEnabled().
 obs::LatencySnapshot SnapshotSeconds(const std::vector<double>& seconds);
 
 /// Nanoseconds -> milliseconds for printing snapshot fields.

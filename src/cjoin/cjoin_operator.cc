@@ -32,8 +32,10 @@ CJoinOperator::CJoinOperator(const StarSchema& star, Options options)
   }
   registry_.resize(opts_.max_concurrent_queries);
 
-  pool_ = std::make_unique<TuplePool>(opts_.pool_capacity,
-                                      SlotStride(num_dims_, width_));
+  const size_t batch_size = std::max<size_t>(1, opts_.batch_size);
+  blocks_ = std::make_unique<BlockFreeList>(
+      std::max<size_t>(1, (opts_.pool_capacity + batch_size - 1) / batch_size),
+      batch_size, width_, num_dims_);
   epochs_ = std::make_unique<EpochTracker>();
   cleanup_queue_ = std::make_unique<CleanupQueue>(4096);
 
@@ -69,28 +71,28 @@ CJoinOperator::CJoinOperator(const StarSchema& star, Options options)
       if (s < filters_.size()) order->push_back(filters_[s].get());
     }
     stages_.push_back(std::make_unique<Stage>(
-        "stage" + std::to_string(s), &star_.fact().schema(), num_dims_,
-        width_, std::move(order), queues_[s].get(), queues_[s + 1].get(),
-        /*owns_output=*/true, pool_.get(), epochs_.get()));
+        "stage" + std::to_string(s), &star_.fact().schema(), width_,
+        std::move(order), queues_[s].get(), queues_[s + 1].get(),
+        /*owns_output=*/true, epochs_.get()));
     stages_.back()->set_thread_label(opts_.name_prefix + "stage" +
                                      std::to_string(s));
     stages_.back()->set_probe_batch_size(opts_.probe_batch_size);
   }
 
   Preprocessor::Options popts;
-  popts.batch_size = opts_.batch_size;
+  popts.batch_size = batch_size;
   popts.scan_run_rows = opts_.scan_run_rows;
   popts.disk = opts_.disk;
   popts.reader_id = opts_.disk_reader_id;
   popts.snapshot_probe = opts_.snapshot_probe;
   popts.flight_label = opts_.name_prefix + "scan";
   preprocessor_ = std::make_unique<Preprocessor>(
-      star_, width_, pool_.get(), epochs_.get(), queues_.front().get(),
+      star_, width_, blocks_.get(), epochs_.get(), queues_.front().get(),
       popts);
 
   distributor_ = std::make_unique<Distributor>(
-      num_dims_, width_, opts_.max_concurrent_queries, pool_.get(),
-      epochs_.get(), queues_.back().get(), cleanup_queue_.get());
+      width_, opts_.max_concurrent_queries, epochs_.get(),
+      queues_.back().get(), cleanup_queue_.get());
 }
 
 CJoinOperator::~CJoinOperator() { Stop(); }
@@ -486,7 +488,17 @@ CJoinOperator::Stats CJoinOperator::GetStats() const {
                         early_cancelled_.load(std::memory_order_relaxed);
   s.table_laps = preprocessor_->table_laps();
   s.active_queries = preprocessor_->active_queries();
-  s.pool_in_use = pool_->InUse();
+  s.blocks_in_use = blocks_->InUse();
+  {
+    MutexLock lk(&id_mu_);
+    s.query_ids_in_use = opts_.max_concurrent_queries - free_ids_.size();
+  }
+  {
+    MutexLock lk(&registry_mu_);
+    s.runtimes_registered = static_cast<size_t>(
+        std::count_if(registry_.begin(), registry_.end(),
+                      [](const auto& rt) { return rt != nullptr; }));
+  }
   s.filter_reorders = reorders_.load(std::memory_order_relaxed);
   s.manager_iterations = manager_iterations_.load(std::memory_order_relaxed);
   s.submissions_pending = submissions_.size();

@@ -61,7 +61,8 @@ class CJoinOperator {
     /// Vertical: distributed round-robin, at least one per Stage.
     size_t num_worker_threads = 4;
 
-    /// Data tuples per batch (queue transfer unit, §4).
+    /// Data tuples per batch (queue transfer unit, §4): the rows of one
+    /// column block.
     size_t batch_size = 256;
     /// Dimension probes gathered per batched-probe round in the filter
     /// stages (gather→prefetch→resolve; see dim_hash_table.h). Values
@@ -72,7 +73,9 @@ class CJoinOperator {
     size_t queue_capacity = 64;
     /// Wakeup hysteresis for the queues (1 = always wake; §4).
     size_t queue_wake_depth = 1;
-    /// Preallocated in-flight tuple slots (§4's specialized allocator).
+    /// Bound on in-flight data tuples (§4's specialized allocator),
+    /// rounded up to whole column blocks of batch_size rows. Blocks are
+    /// allocated on first use.
     size_t pool_capacity = 64 * 1024;
 
     /// Rows per continuous-scan run.
@@ -165,7 +168,12 @@ class CJoinOperator {
     uint64_t queries_cancelled = 0;
     uint64_t table_laps = 0;
     size_t active_queries = 0;
-    size_t pool_in_use = 0;
+    /// Column blocks held by in-flight batches.
+    size_t blocks_in_use = 0;
+    /// Bit-vector ids not on the freelist (read under id_mu_).
+    size_t query_ids_in_use = 0;
+    /// Runtimes in the operator's registry (read under registry_mu_).
+    size_t runtimes_registered = 0;
     uint64_t filter_reorders = 0;
     /// Current filter order (dimension indices) of the first stage.
     std::vector<size_t> filter_order;
@@ -238,8 +246,9 @@ class CJoinOperator {
   const size_t width_;
   const size_t num_dims_;
 
-  // Pipeline plumbing.
-  std::unique_ptr<TuplePool> pool_;
+  // Pipeline plumbing. The free list is declared first so it outlives
+  // every batch, whichever component destroys it.
+  std::unique_ptr<BlockFreeList> blocks_;
   std::unique_ptr<EpochTracker> epochs_;
   std::vector<std::unique_ptr<BatchQueue>> queues_;
   std::vector<std::unique_ptr<Filter>> filters_;  // one per dimension
@@ -259,12 +268,12 @@ class CJoinOperator {
   std::atomic<uint64_t> manager_iterations_{0};
 
   // Query id freelist.
-  Mutex id_mu_;
+  mutable Mutex id_mu_;
   CondVar id_available_;
   std::vector<uint32_t> free_ids_ GUARDED_BY(id_mu_);
 
   /// Keeps runtimes alive while raw pointers travel through the pipeline.
-  Mutex registry_mu_;
+  mutable Mutex registry_mu_;
   std::vector<std::shared_ptr<QueryRuntime>> registry_
       GUARDED_BY(registry_mu_);
 

@@ -7,13 +7,10 @@
 
 namespace cjoin {
 
-Distributor::Distributor(size_t num_dims, size_t width_words,
-                         size_t max_queries, TuplePool* pool,
+Distributor::Distributor(size_t width_words, size_t max_queries,
                          EpochTracker* epochs, BatchQueue* in,
                          CleanupQueue* cleanup)
-    : num_dims_(num_dims),
-      width_(width_words),
-      pool_(pool),
+    : width_(width_words),
       epochs_(epochs),
       in_(in),
       cleanup_(cleanup) {
@@ -28,30 +25,30 @@ Distributor::Distributor(size_t num_dims, size_t width_words,
       "Pipeline queries terminated early (cancel/deadline)");
 }
 
-void Distributor::ProcessDataBatch(TupleBatch& batch) {
-  for (TupleSlot* slot : batch.slots) {
-    const uint64_t* bits = slot->bits(num_dims_);
-    const uint8_t* const* dim_rows = slot->dim_rows();
-    bitops::ForEachSetBit(bits, width_, [&](size_t qid) {
+void Distributor::ProcessDataBatch(TupleBatch batch) {
+  ColumnBlock& block = *batch.block;
+  const size_t n = block.live;
+  for (size_t i = 0; i < n; ++i) {
+    const uint8_t* fact_row = block.fact_rows[i];
+    const uint8_t* const* dim_rows = block.dim_rows(i);
+    bitops::ForEachSetBit(block.bits(i), width_, [&](size_t qid) {
       QueryRuntime* rt = live_[qid];
       // A set bit with no live query can only mean a protocol violation;
       // epoch ordering guarantees the start tuple was processed first.
       assert(rt != nullptr && "tuple routed to unregistered query");
       if (rt != nullptr && rt->aggregator != nullptr) {
-        rt->aggregator->Consume(slot->fact_row, dim_rows);
+        rt->aggregator->Consume(fact_row, dim_rows);
       }
     });
-    routed_.fetch_add(1, std::memory_order_relaxed);
-    pool_->Release(slot);
   }
-  obs_routed_->Add(batch.slots.size());
-  epochs_->AddRetired(batch.epoch, batch.slots.size());
-  batch.slots.clear();
+  routed_.fetch_add(n, std::memory_order_relaxed);
+  obs_routed_->Add(n);
+  epochs_->AddRetired(batch.epoch, n);
 }
 
-void Distributor::ProcessControl(TupleSlot* slot) {
-  QueryRuntime* rt = slot->runtime;
-  if (slot->kind == SlotKind::kQueryStart) {
+void Distributor::ProcessControl(const TupleBatch& control) {
+  QueryRuntime* rt = control.runtime;
+  if (control.kind == BatchKind::kQueryStart) {
     assert(rt->aggregator != nullptr &&
            "admission must create the aggregation operator");
     live_[rt->query_id] = rt;
@@ -61,7 +58,7 @@ void Distributor::ProcessControl(TupleSlot* slot) {
                            QueryRuntime::NowNs());
     }
   } else {
-    assert(slot->kind == SlotKind::kQueryEnd);
+    assert(control.kind == BatchKind::kQueryEnd);
     live_[rt->query_id] = nullptr;
     const int64_t done = QueryRuntime::NowNs();
     rt->completed_ns.store(done);
@@ -93,37 +90,36 @@ void Distributor::ProcessControl(TupleSlot* slot) {
     }
     cleanup_->Push(rt->query_id);
   }
-  pool_->Release(slot);
 }
 
 void Distributor::TryAdvance() {
   for (;;) {
     // The control closing the current epoch may fire only once every data
-    // slot of that epoch has been consumed or dropped.
+    // tuple of that epoch has been consumed or dropped.
     auto ctrl = pending_controls_.find(current_epoch_);
     if (ctrl == pending_controls_.end() ||
         !epochs_->Complete(current_epoch_)) {
       return;
     }
-    ProcessControl(ctrl->second.slots[0]);
+    ProcessControl(ctrl->second);
     pending_controls_.erase(ctrl);
     epochs_->Recycle(current_epoch_);
     ++current_epoch_;
     // Release any data of the newly opened epoch that arrived early.
     auto it = pending_data_.find(current_epoch_);
     if (it != pending_data_.end()) {
-      for (TupleBatch& b : it->second) ProcessDataBatch(b);
+      for (TupleBatch& b : it->second) ProcessDataBatch(std::move(b));
       pending_data_.erase(it);
     }
   }
 }
 
 void Distributor::HandleBatch(TupleBatch batch) {
-  if (batch.control) {
+  if (batch.control()) {
     const uint64_t e = batch.epoch;
     pending_controls_.emplace(e, std::move(batch));
   } else if (batch.epoch == current_epoch_) {
-    ProcessDataBatch(batch);
+    ProcessDataBatch(std::move(batch));
   } else {
     assert(batch.epoch > current_epoch_);
     pending_data_[batch.epoch].push_back(std::move(batch));
@@ -146,18 +142,9 @@ void Distributor::Run() {
     }
     HandleBatch(std::move(*popped));
   }
-  // Shutdown: release anything left unprocessed.
-  for (auto& [epoch, batches] : pending_data_) {
-    for (TupleBatch& b : batches) {
-      epochs_->AddRetired(b.epoch, b.slots.size());
-      for (TupleSlot* s : b.slots) pool_->Release(s);
-      b.slots.clear();
-    }
-  }
+  // Shutdown: drop anything left unprocessed; the batches return their
+  // blocks.
   pending_data_.clear();
-  for (auto& [epoch, b] : pending_controls_) {
-    for (TupleSlot* s : b.slots) pool_->Release(s);
-  }
   pending_controls_.clear();
 }
 

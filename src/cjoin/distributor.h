@@ -5,7 +5,9 @@
 // "output" per concurrent query), handles query-start control tuples
 // (sets up the query's aggregation operator) and query-end control tuples
 // (finalizes the operator, delivers the result, and notifies the Pipeline
-// Manager to run the cleanup of Algorithm 2).
+// Manager to run the cleanup of Algorithm 2). It consumes each data
+// batch's column block row by row, then drops the batch, which returns
+// the block to the free list.
 //
 // The Distributor is where the §3.3.3 ordering property is enforced: it
 // advances through epochs strictly in order (see EpochTracker), buffering
@@ -25,7 +27,6 @@
 #include "cjoin/query_runtime.h"
 #include "cjoin/tuple_slot.h"
 #include "common/queue.h"
-#include "common/tuple_pool.h"
 #include "obs/metrics.h"
 
 namespace cjoin {
@@ -35,9 +36,8 @@ using CleanupQueue = BoundedQueue<uint32_t>;
 
 class Distributor {
  public:
-  Distributor(size_t num_dims, size_t width_words, size_t max_queries,
-              TuplePool* pool, EpochTracker* epochs, BatchQueue* in,
-              CleanupQueue* cleanup);
+  Distributor(size_t width_words, size_t max_queries, EpochTracker* epochs,
+              BatchQueue* in, CleanupQueue* cleanup);
 
   /// Thread body; returns when the input queue closes and drains.
   void Run();
@@ -55,13 +55,11 @@ class Distributor {
 
  private:
   void HandleBatch(TupleBatch batch);
-  void ProcessDataBatch(TupleBatch& batch);
+  void ProcessDataBatch(TupleBatch batch);
   void TryAdvance();
-  void ProcessControl(TupleSlot* slot);
+  void ProcessControl(const TupleBatch& control);
 
-  size_t num_dims_;
   size_t width_;
-  TuplePool* pool_;
   EpochTracker* epochs_;
   BatchQueue* in_;
   CleanupQueue* cleanup_;

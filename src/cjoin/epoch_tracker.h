@@ -8,11 +8,11 @@
 // With a multi-threaded Stage, data batches can overtake each other, so
 // FIFO queues alone do not provide the property. Instead the Preprocessor
 // partitions the stream into *epochs* delimited by control tuples: every
-// data slot is tagged with the epoch it was produced in, and a control
+// data tuple is tagged with the epoch it was produced in, and a control
 // tuple closes its epoch. The Distributor processes epochs strictly in
-// order: a control tuple is held until every data slot of the epoch it
+// order: a control tuple is held until every data tuple of the epoch it
 // closes has been accounted for (consumed by the Distributor or dropped
-// by a Filter), and data slots of later epochs are buffered until their
+// by a Filter), and data tuples of later epochs are buffered until their
 // epoch opens. Within an epoch, data order is free — aggregation is
 // order-insensitive.
 
@@ -36,25 +36,25 @@ class EpochTracker {
   explicit EpochTracker(size_t ring_size = 4096)
       : ring_size_(ring_size), ring_(new Cell[ring_size]) {}
 
-  /// Registers `n` produced slots in epoch `e` (Preprocessor only).
+  /// Registers `n` produced tuples in epoch `e` (Preprocessor only).
   void AddProduced(uint64_t e, uint64_t n) {
     Cell& c = cell(e);
     c.produced.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Declares that epoch `e` will produce no more slots (Preprocessor,
+  /// Declares that epoch `e` will produce no more tuples (Preprocessor,
   /// immediately before emitting the closing control tuple).
   void Close(uint64_t e) {
     cell(e).closed.store(true, std::memory_order_release);
   }
 
-  /// Registers `n` retired slots of epoch `e` (Filters on drop,
+  /// Registers `n` retired tuples of epoch `e` (Filters on drop,
   /// Distributor on consume).
   void AddRetired(uint64_t e, uint64_t n) {
     cell(e).retired.fetch_add(n, std::memory_order_release);
   }
 
-  /// True iff epoch e is closed and every produced slot was retired.
+  /// True iff epoch e is closed and every produced tuple was retired.
   bool Complete(uint64_t e) const {
     const Cell& c = cell(e);
     if (!c.closed.load(std::memory_order_acquire)) return false;

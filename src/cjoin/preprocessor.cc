@@ -15,12 +15,12 @@
 namespace cjoin {
 
 Preprocessor::Preprocessor(const StarSchema& star, size_t width_words,
-                           TuplePool* pool, EpochTracker* epochs,
+                           BlockFreeList* blocks, EpochTracker* epochs,
                            BatchQueue* out, Options options)
     : star_(star),
       width_(width_words),
       num_dims_(star.num_dimensions()),
-      pool_(pool),
+      blocks_(blocks),
       epochs_(epochs),
       out_(out),
       opts_(options),
@@ -42,7 +42,6 @@ Preprocessor::Preprocessor(const StarSchema& star, size_t width_words,
   active_.resize(width_ * bitops::kBitsPerWord);
   partition_mask_.resize(star.fact().num_partitions());
   for (auto& m : partition_mask_) m.fill(0);
-  batch_.slots.reserve(opts_.batch_size);
 }
 
 void Preprocessor::RequestAdmission(std::shared_ptr<QueryRuntime> runtime) {
@@ -127,7 +126,7 @@ void Preprocessor::InstallQuery(std::shared_ptr<QueryRuntime> runtime) {
 
   // The query-start control tuple precedes the query's first fact tuple
   // in the stream (§3.3.1), so emit it before turning the bit on.
-  EmitControl(SlotKind::kQueryStart, runtime.get());
+  EmitControl(BatchKind::kQueryStart, runtime.get());
   const int64_t now = QueryRuntime::NowNs();
   runtime->registered_ns.store(now);
   runtime->phase.store(QueryPhase::kRegistered);
@@ -178,7 +177,7 @@ void Preprocessor::FinalizeQuery(uint32_t qid) {
   // The end-of-query control tuple precedes the wrap-around tuple
   // (§3.3.2), so it is emitted at the current stream position, before
   // clearing the query's bookkeeping.
-  EmitControl(SlotKind::kQueryEnd, aq->runtime.get());
+  EmitControl(BatchKind::kQueryEnd, aq->runtime.get());
   obs_active_->Sub();
 
   bitops::ClearBit(active_mask_, qid);
@@ -216,38 +215,27 @@ void Preprocessor::PollInterrupts() {
 }
 
 void Preprocessor::FlushBatch() {
-  if (batch_.slots.empty()) return;
-  batch_.epoch = cur_epoch_;
-  batch_.control = false;
-  epochs_->AddProduced(cur_epoch_, batch_.slots.size());
-  TupleBatch outgoing = std::move(batch_);
-  batch_ = TupleBatch{};
-  batch_.slots.reserve(opts_.batch_size);
-  const size_t n = outgoing.slots.size();
-  if (!out_->Push(std::move(outgoing))) {
+  if (block_ == nullptr) return;
+  TupleBatch batch;
+  batch.epoch = cur_epoch_;
+  batch.block = std::move(block_);
+  const size_t n = batch.size();
+  epochs_->AddProduced(cur_epoch_, n);
+  if (!out_->Push(std::move(batch))) {
     // Queue closed during shutdown; keep epoch accounting balanced. The
-    // slots are reclaimed when the pool is destroyed.
+    // dropped batch returned its block.
     epochs_->AddRetired(cur_epoch_, n);
   }
 }
 
-void Preprocessor::EmitControl(SlotKind kind, QueryRuntime* runtime) {
+void Preprocessor::EmitControl(BatchKind kind, QueryRuntime* runtime) {
   FlushBatch();
   epochs_->Close(cur_epoch_);
-
-  TupleSlot* slot = static_cast<TupleSlot*>(pool_->Acquire());
-  slot->fact_row = nullptr;
-  slot->runtime = runtime;
-  slot->epoch = cur_epoch_;
-  slot->kind = kind;
-
-  TupleBatch cb;
-  cb.epoch = cur_epoch_;
-  cb.control = true;
-  cb.slots.push_back(slot);
-  if (!out_->Push(std::move(cb))) {
-    pool_->Release(slot);
-  }
+  TupleBatch control;
+  control.kind = kind;
+  control.epoch = cur_epoch_;
+  control.runtime = runtime;
+  out_->Push(std::move(control));
   ++cur_epoch_;
 }
 
@@ -259,6 +247,7 @@ void Preprocessor::ProcessRowRange(const ScanEvent& ev, size_t from,
   const uint64_t* pmask = partition_mask_[ev.partition].data();
 
   uint64_t tmp[kMaxWidthWords];
+  uint64_t skipped = 0;
   for (size_t r = from; r < to; ++r) {
     const uint8_t* base = ev.base + r * stride;
     const RowHeader* hdr = reinterpret_cast<const RowHeader*>(base);
@@ -270,7 +259,7 @@ void Preprocessor::ProcessRowRange(const ScanEvent& ev, size_t from,
       any |= tmp[w];
     }
     if (any == 0) {
-      rows_skipped_.fetch_add(1, std::memory_order_relaxed);
+      ++skipped;
       continue;
     }
 
@@ -289,21 +278,18 @@ void Preprocessor::ProcessRowRange(const ScanEvent& ev, size_t from,
       }
     }
     if (bitops::IsZero(tmp, width_)) {
-      rows_skipped_.fetch_add(1, std::memory_order_relaxed);
+      ++skipped;
       continue;
     }
 
-    TupleSlot* slot = static_cast<TupleSlot*>(pool_->Acquire());
-    slot->fact_row = fact_row;
-    slot->runtime = nullptr;
-    slot->epoch = cur_epoch_;
-    slot->kind = SlotKind::kData;
-    std::memset(slot->dim_rows(), 0, num_dims_ * sizeof(const uint8_t*));
-    bitops::Copy(slot->bits(num_dims_), tmp, width_);
-
-    batch_.slots.push_back(slot);
-    if (batch_.slots.size() >= opts_.batch_size) FlushBatch();
+    if (block_ == nullptr) block_ = blocks_->Take();
+    const size_t i = block_->live++;
+    block_->fact_rows[i] = fact_row;
+    std::memset(block_->dim_rows(i), 0, num_dims_ * sizeof(const uint8_t*));
+    bitops::Copy(block_->bits(i), tmp, width_);
+    if (block_->live >= opts_.batch_size) FlushBatch();
   }
+  rows_skipped_.fetch_add(skipped, std::memory_order_relaxed);
 }
 
 void Preprocessor::ProcessRows(const ScanEvent& ev) {

@@ -1,12 +1,14 @@
 // The Preprocessor (paper §3.1, §3.2.2, §3.3).
 //
 // Consumes the continuous scan and turns raw fact rows into in-flight
-// tuple slots: it initializes each tuple's bit-vector from the per-query
-// fact-table predicates (c_i0), the query's snapshot (§3.5: the snapshot
-// association is "a virtual fact table predicate ... evaluated by the
-// Preprocessor over the concurrency control information of each fact
-// tuple"), and the query's partition set (§5). Tuples relevant to no
-// query are dropped before entering the pipeline.
+// tuples, appended in place to the rows of a column block (tuple_slot.h):
+// it initializes each tuple's bit-vector from the per-query fact-table
+// predicates (c_i0), the query's snapshot (§3.5: the snapshot association
+// is "a virtual fact table predicate ... evaluated by the Preprocessor
+// over the concurrency control information of each fact tuple"), and the
+// query's partition set (§5). Tuples relevant to no query are dropped
+// before entering the pipeline. A full block leaves as one data batch;
+// this thread is the block free list's single consumer.
 //
 // It also owns query registration/finalization within the stream:
 // admission requests prepared by the Pipeline Manager (Algorithm 1, run
@@ -31,7 +33,6 @@
 #include "cjoin/query_runtime.h"
 #include "cjoin/tuple_slot.h"
 #include "common/queue.h"
-#include "common/tuple_pool.h"
 #include "obs/metrics.h"
 #include "storage/continuous_scan.h"
 
@@ -44,7 +45,7 @@ inline constexpr size_t kMaxWidthWords = 16;
 class Preprocessor {
  public:
   struct Options {
-    size_t batch_size = 256;       ///< data slots per TupleBatch
+    size_t batch_size = 256;       ///< data tuples per TupleBatch
     size_t scan_run_rows = 1024;   ///< rows per ContinuousScan run
     SimDisk* disk = nullptr;
     uint64_t reader_id = 0;
@@ -57,8 +58,9 @@ class Preprocessor {
     std::string flight_label = "scan";
   };
 
-  Preprocessor(const StarSchema& star, size_t width_words, TuplePool* pool,
-               EpochTracker* epochs, BatchQueue* out, Options options);
+  Preprocessor(const StarSchema& star, size_t width_words,
+               BlockFreeList* blocks, EpochTracker* epochs, BatchQueue* out,
+               Options options);
 
   /// Queues a fully-loaded query for installation (Pipeline Manager
   /// thread; Algorithm 1's final step, called for each query of an
@@ -129,12 +131,12 @@ class Preprocessor {
   void HandlePassEnd(const ScanEvent& ev);
 
   void FlushBatch();
-  void EmitControl(SlotKind kind, QueryRuntime* runtime);
+  void EmitControl(BatchKind kind, QueryRuntime* runtime);
 
   const StarSchema& star_;
   const size_t width_;
   const size_t num_dims_;
-  TuplePool* pool_;
+  BlockFreeList* blocks_;
   EpochTracker* epochs_;
   BatchQueue* out_;
   Options opts_;
@@ -159,7 +161,8 @@ class Preprocessor {
   std::vector<FactPred> fact_preds_;
 
   uint64_t cur_epoch_ = 0;
-  TupleBatch batch_;
+  /// The block being filled (null until a tuple needs it).
+  BlockPtr block_;
 
   std::atomic<uint64_t> rows_scanned_{0};
   std::atomic<uint64_t> rows_skipped_{0};

@@ -342,7 +342,9 @@ CJoinOperator::Stats ShardedCJoinOperator::GetStats() const {
     total.rows_scanned += st.rows_scanned;
     total.rows_skipped_at_preprocessor += st.rows_skipped_at_preprocessor;
     total.tuples_routed += st.tuples_routed;
-    total.pool_in_use += st.pool_in_use;
+    total.blocks_in_use += st.blocks_in_use;
+    total.query_ids_in_use += st.query_ids_in_use;
+    total.runtimes_registered += st.runtimes_registered;
     total.filter_reorders += st.filter_reorders;
     total.manager_iterations += st.manager_iterations;
     total.table_laps = std::min(total.table_laps, st.table_laps);

@@ -9,7 +9,10 @@
 // queue, and an output sink (the next Stage's queue, or the Distributor's
 // queue for the last Stage). Each worker thread pops a batch, runs it
 // through the Stage's filters (probing dimension hash tables and ANDing
-// bit-vectors, §3.2.2), drops dead tuples, and pushes survivors on.
+// bit-vectors, §3.2.2), and pushes the survivors on in the same block.
+// Each filter compacts the block's columns with a write cursor, so a dead
+// tuple is one the cursor does not copy forward. A batch with no survivor
+// dies in the stage, which returns its block to the free list.
 //
 //   * horizontal configuration: one Stage boxing all Filters, N threads;
 //   * vertical configuration: one Stage per Filter;
@@ -26,7 +29,6 @@
 #include "cjoin/epoch_tracker.h"
 #include "cjoin/filter.h"
 #include "cjoin/tuple_slot.h"
-#include "common/tuple_pool.h"
 #include "obs/metrics.h"
 #include "storage/schema.h"
 
@@ -37,10 +39,9 @@ namespace cjoin {
 /// queue when the last worker leaves (if `owns_output`).
 class Stage {
  public:
-  Stage(std::string name, const Schema* fact_schema, size_t num_dims,
-        size_t width_words, std::shared_ptr<const FilterOrder> filters,
-        BatchQueue* in, BatchQueue* out, bool owns_output, TuplePool* pool,
-        EpochTracker* epochs);
+  Stage(std::string name, const Schema* fact_schema, size_t width_words,
+        std::shared_ptr<const FilterOrder> filters, BatchQueue* in,
+        BatchQueue* out, bool owns_output, EpochTracker* epochs);
 
   /// Publishes a new filter order for this stage (manager thread; §3.4).
   void SetFilterOrder(std::shared_ptr<const FilterOrder> order) {
@@ -79,20 +80,18 @@ class Stage {
 
  private:
   void WorkerLoop(const std::string& track);
-  /// Filters `batch` in place; returns the number of dropped slots.
-  size_t FilterBatch(TupleBatch* batch,
-                     const FilterOrder& filters);
+  /// Filters `block` in place, compacting survivors to its front;
+  /// returns the number of dropped tuples.
+  size_t FilterBatch(ColumnBlock* block, const FilterOrder& filters);
 
   std::string name_;
   std::string thread_label_;
   const Schema* fact_schema_;
-  size_t num_dims_;
   size_t width_;
   FilterOrderRef order_;
   BatchQueue* in_;
   BatchQueue* out_;
   bool owns_output_;
-  TuplePool* pool_;
   EpochTracker* epochs_;
   size_t probe_batch_ = 128;
 

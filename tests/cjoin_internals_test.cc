@@ -1,10 +1,13 @@
 // Unit tests for CJOIN's internal components: dimension hash tables with
-// bit-vectors, the epoch tracker, tuple slot layout, filter ordering, and
-// the bit-vector invariants of §3.2.1 under query id reuse.
+// bit-vectors, the epoch tracker, column blocks and their free list,
+// filter ordering, and the bit-vector invariants of §3.2.1 under query id
+// reuse.
 
 #include <atomic>
 #include <initializer_list>
 #include <map>
+#include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -14,7 +17,8 @@
 #include "cjoin/epoch_tracker.h"
 #include "cjoin/filter.h"
 #include "cjoin/tuple_slot.h"
-#include "common/tuple_pool.h"
+#include "common/bitvector.h"
+#include "common/queue.h"
 
 namespace cjoin {
 namespace {
@@ -492,58 +496,118 @@ TEST(EpochTrackerTest, ConcurrentRetiresBalance) {
   EXPECT_TRUE(t.Complete(7));
 }
 
-// ------------------------------- TupleSlot -----------------------------------
+// ------------------------ ColumnBlock / BlockFreeList ------------------------
 
-TEST(TupleSlotTest, LayoutAccessorsDoNotOverlap) {
-  constexpr size_t kDims = 4, kWords = 4;
-  TuplePool pool(16, SlotStride(kDims, kWords));
-  auto* slot = static_cast<TupleSlot*>(pool.Acquire());
-  slot->fact_row = reinterpret_cast<const uint8_t*>(0x1234);
-  slot->epoch = 99;
-  slot->kind = SlotKind::kData;
-  for (size_t d = 0; d < kDims; ++d) {
-    slot->dim_rows()[d] = reinterpret_cast<const uint8_t*>(0x1000 + d);
+TEST(ColumnBlockTest, ColumnsDoNotOverlapAndMoveRowCopiesAll) {
+  constexpr size_t kRows = 8, kDims = 4, kWords = 4;
+  ColumnBlock block(kRows, kWords, kDims);
+  for (size_t i = 0; i < kRows; ++i) {
+    block.fact_rows[i] = reinterpret_cast<const uint8_t*>(0x1000 + i);
+    bitops::Zero(block.bits(i), kWords);
+    bitops::SetBit(block.bits(i), i);
+    bitops::SetBit(block.bits(i), 255 - i);
+    for (size_t d = 0; d < kDims; ++d) {
+      block.dim_rows(i)[d] = reinterpret_cast<const uint8_t*>(0x100 * d + i);
+    }
   }
-  uint64_t* bits = slot->bits(kDims);
-  bitops::Zero(bits, kWords);
-  bitops::SetBit(bits, 0);
-  bitops::SetBit(bits, 255);
-
   // Nothing clobbered anything else.
-  EXPECT_EQ(slot->fact_row, reinterpret_cast<const uint8_t*>(0x1234));
-  EXPECT_EQ(slot->epoch, 99u);
-  for (size_t d = 0; d < kDims; ++d) {
-    EXPECT_EQ(slot->dim_rows()[d],
-              reinterpret_cast<const uint8_t*>(0x1000 + d));
+  for (size_t i = 0; i < kRows; ++i) {
+    EXPECT_EQ(block.fact_rows[i], reinterpret_cast<const uint8_t*>(0x1000 + i));
+    EXPECT_EQ(bitops::PopCount(block.bits(i), kWords), 2u);
+    EXPECT_TRUE(bitops::TestBit(block.bits(i), i));
+    EXPECT_TRUE(bitops::TestBit(block.bits(i), 255 - i));
+    for (size_t d = 0; d < kDims; ++d) {
+      EXPECT_EQ(block.dim_rows(i)[d],
+                reinterpret_cast<const uint8_t*>(0x100 * d + i));
+    }
   }
-  EXPECT_TRUE(bitops::TestBit(bits, 0));
-  EXPECT_TRUE(bitops::TestBit(bits, 255));
-  EXPECT_EQ(bitops::PopCount(bits, kWords), 2u);
-  // The bits region ends exactly at the stride.
-  const uint8_t* end = reinterpret_cast<const uint8_t*>(bits + kWords);
-  EXPECT_LE(end, reinterpret_cast<const uint8_t*>(slot) +
-                     SlotStride(kDims, kWords));
-  pool.Release(slot);
+  block.MoveRow(2, 6);
+  EXPECT_EQ(block.fact_rows[2], reinterpret_cast<const uint8_t*>(0x1006));
+  EXPECT_TRUE(bitops::TestBit(block.bits(2), 6));
+  EXPECT_TRUE(bitops::TestBit(block.bits(2), 249));
+  EXPECT_FALSE(bitops::TestBit(block.bits(2), 2));
+  for (size_t d = 0; d < kDims; ++d) {
+    EXPECT_EQ(block.dim_rows(2)[d],
+              reinterpret_cast<const uint8_t*>(0x100 * d + 6));
+  }
+  // Neighbours are untouched.
+  EXPECT_EQ(block.fact_rows[3], reinterpret_cast<const uint8_t*>(0x1003));
+  EXPECT_TRUE(bitops::TestBit(block.bits(3), 3));
 }
 
-/// Stride parameterized over (dims, words) combinations.
-class SlotStrideTest
-    : public ::testing::TestWithParam<std::pair<size_t, size_t>> {};
-
-TEST_P(SlotStrideTest, StrideCoversAllFields) {
-  const auto [dims, words] = GetParam();
-  EXPECT_EQ(SlotStride(dims, words),
-            sizeof(TupleSlot) + dims * sizeof(const uint8_t*) +
-                words * sizeof(uint64_t));
-  EXPECT_EQ(SlotStride(dims, words) % 8, 0u);
+TEST(BlockFreeListTest, AllocatesUpToBudgetThenRecyclesLifo) {
+  BlockFreeList list(/*max_blocks=*/2, /*rows=*/4, /*width_words=*/1,
+                     /*num_dims=*/2);
+  EXPECT_EQ(list.InUse(), 0u);
+  BlockPtr a = list.Take();
+  BlockPtr b = list.Take();
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_EQ(list.InUse(), 2u);
+  a->live = 3;
+  ColumnBlock* const a_raw = a.get();
+  a.reset();  // the batch died: its block goes back
+  EXPECT_EQ(list.InUse(), 1u);
+  BlockPtr c = list.Take();
+  EXPECT_EQ(c.get(), a_raw) << "a returned block is reused, not reallocated";
+  EXPECT_EQ(c->live, 0u) << "a taken block starts empty";
+  c.reset();
+  b.reset();
+  EXPECT_EQ(list.InUse(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Combos, SlotStrideTest,
-    ::testing::Values(std::pair<size_t, size_t>{0, 1},
-                      std::pair<size_t, size_t>{1, 1},
-                      std::pair<size_t, size_t>{4, 4},
-                      std::pair<size_t, size_t>{8, 16}));
+TEST(BlockFreeListTest, ExhaustedTakeWaitsForAReturn) {
+  BlockFreeList list(1, 4, 1, 1);
+  BlockPtr held = list.Take();
+  std::atomic<bool> got{false};
+  std::thread taker([&] {
+    BlockPtr p = list.Take();
+    got.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_FALSE(got.load());
+  held.reset();
+  taker.join();
+  EXPECT_TRUE(got.load());
+  EXPECT_EQ(list.InUse(), 0u);
+}
+
+TEST(BlockFreeListTest, OneTakerManyReturners) {
+  // The pipeline's shape: one thread takes, several threads return.
+  constexpr size_t kBlocks = 4;
+  constexpr int kPerThread = 5000;
+  constexpr int kReturners = 3;
+  BlockFreeList list(kBlocks, 8, 2, 2);
+  BoundedQueue<BlockPtr> handoff(kBlocks);
+  std::vector<std::thread> returners;
+  for (int t = 0; t < kReturners; ++t) {
+    returners.emplace_back([&handoff] {
+      while (std::optional<BlockPtr> p = handoff.Pop()) {
+        // The block is this thread's alone until it is returned.
+        ColumnBlock& block = **p;
+        for (size_t i = 0; i < block.live; ++i) {
+          EXPECT_EQ(block.fact_rows[i],
+                    reinterpret_cast<const uint8_t*>(&block));
+        }
+      }
+    });
+  }
+  std::set<ColumnBlock*> seen;
+  for (int i = 0; i < kReturners * kPerThread; ++i) {
+    BlockPtr p = list.Take();
+    seen.insert(p.get());
+    p->live = 8;
+    for (size_t r = 0; r < 8; ++r) {
+      p->fact_rows[r] = reinterpret_cast<const uint8_t*>(p.get());
+    }
+    handoff.Push(std::move(p));
+  }
+  handoff.Close();
+  for (auto& t : returners) t.join();
+  EXPECT_LE(seen.size(), kBlocks);
+  EXPECT_EQ(list.InUse(), 0u);
+}
 
 // ----------------------------- FilterOrderRef --------------------------------
 

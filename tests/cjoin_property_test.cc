@@ -11,6 +11,9 @@
 //   P4 (versioned dimensions): queries admitted together, each reading
 //       its own snapshot of changing dimension rows, each see exactly
 //       their own snapshot's rows.
+//   P5 (block budget): with two tuple blocks in flight, the scan waits
+//       for a returned block on nearly every batch; results stay exact
+//       and every block comes back, also after Stop() mid-lap.
 
 #include <chrono>
 #include <deque>
@@ -277,6 +280,154 @@ TEST(CJoinStressTest, ParallelSubmittersAndUpdatesViaSnapshots) {
   EXPECT_FALSE(fail.load());
   op.Stop();
 }
+
+struct BudgetParams {
+  bool vertical;
+  size_t probe_batch;  ///< 1 = scalar probe arm
+};
+
+class CJoinBlockBudgetTest : public ::testing::TestWithParam<BudgetParams> {};
+
+TEST_P(CJoinBlockBudgetTest, TwoBlocksRecycleUnderChurn) {
+  // P5: the smallest block budget, 64 queries at mixed snapshots with
+  // cancels and deadlines, then Stop() in the middle of a lap.
+  const BudgetParams p = GetParam();
+  constexpr SnapshotId kSnapshots = 5;
+  constexpr int kQueries = 64;
+  auto ts = MakeTinyStar(2000, 30, 6, /*fact_partitions=*/2);
+  // Fact rows deleted at snapshots 2..5, so each snapshot reads its own
+  // set of rows.
+  for (uint64_t i = 0; i < 400; ++i) {
+    ASSERT_TRUE(ts->sales
+                    ->MarkDeleted(RowId{static_cast<uint32_t>(i % 2), i * 2},
+                                  2 + i % (kSnapshots - 1))
+                    .ok());
+  }
+
+  CJoinOperator::Options opts;
+  opts.max_concurrent_queries = 16;
+  opts.num_worker_threads = 4;
+  opts.batch_size = 8;
+  opts.pool_capacity = 2 * opts.batch_size;
+  opts.probe_batch_size = p.probe_batch;
+  opts.scan_run_rows = 64;
+  opts.config =
+      p.vertical ? PipelineConfig::kVertical : PipelineConfig::kHorizontal;
+  CJoinOperator op(*ts->star, opts);
+  ASSERT_TRUE(op.Start().ok());
+
+  struct Submitted {
+    StarQuerySpec spec;
+    std::unique_ptr<QueryHandle> handle;
+    bool may_end_early;  ///< cancelled or given a deadline
+  };
+  std::deque<Submitted> window;
+  size_t completed = 0, ended_early = 0;
+  auto check_oldest = [&] {
+    Submitted q = std::move(window.front());
+    window.pop_front();
+    Result<ResultSet> rs = q.handle->Wait();
+    if (!rs.ok()) {
+      EXPECT_TRUE(q.may_end_early) << q.spec.label << ": "
+                                   << rs.status().ToString();
+      EXPECT_TRUE(rs.status().code() == StatusCode::kCancelled ||
+                  rs.status().code() == StatusCode::kDeadlineExceeded)
+          << q.spec.label << ": " << rs.status().ToString();
+      ++ended_early;
+      return;
+    }
+    ++completed;
+    const ResultSet ref =
+        ReferenceEvaluate(NormalizeSpec(StarQuerySpec(q.spec)).value());
+    EXPECT_TRUE(rs->SameContents(ref))
+        << q.spec.label << "\ngot:\n" << rs->ToString() << "want:\n"
+        << ref.ToString();
+    EXPECT_EQ(rs->tuples_consumed, ref.tuples_consumed) << q.spec.label;
+  };
+
+  Rng rng(p.probe_batch * 2 + (p.vertical ? 1 : 0));
+  for (int i = 0; i < kQueries; ++i) {
+    Submitted q;
+    q.spec = RandomSpec(*ts, rng);
+    q.spec.snapshot = static_cast<SnapshotId>(rng.UniformInt(1, kSnapshots));
+    q.spec.label =
+        "q" + std::to_string(i) + "@" + std::to_string(q.spec.snapshot);
+    // One query in six is cancelled, one in six gets a 0.1-3 ms deadline.
+    const int64_t fate = rng.UniformInt(0, 5);
+    const int64_t deadline_us = rng.UniformInt(100, 3000);
+    if (window.size() == opts.max_concurrent_queries) check_oldest();
+    WaitForFreeId(op, opts.max_concurrent_queries);
+    CJoinOperator::SubmitOptions so;
+    if (fate == 1) so.deadline_ns = QueryRuntime::NowNs() + deadline_us * 1000;
+    auto h = op.Submit(q.spec, std::move(so));
+    if (fate == 1 && !h.ok() &&
+        h.status().code() == StatusCode::kDeadlineExceeded) {
+      ++ended_early;  // expired before it was submitted
+      continue;
+    }
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    q.handle = std::move(*h);
+    q.may_end_early = fate <= 1;
+    if (fate == 0) {
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(rng.UniformInt(0, 500)));
+      q.handle->Cancel();
+    }
+    window.push_back(std::move(q));
+  }
+  while (!window.empty()) check_oldest();
+  EXPECT_EQ(completed + ended_early, static_cast<size_t>(kQueries));
+  EXPECT_GT(completed, 0u);
+  EXPECT_GT(ended_early, 0u);
+
+  // Every block, id and registration comes back.
+  const auto limit =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto busy = [&op](const CJoinOperator::Stats& s) {
+    return op.InFlight() != 0 || s.blocks_in_use != 0 ||
+           s.query_ids_in_use != 0 || s.runtimes_registered != 0;
+  };
+  CJoinOperator::Stats stats = op.GetStats();
+  while (busy(stats) && std::chrono::steady_clock::now() < limit) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    stats = op.GetStats();
+  }
+  EXPECT_EQ(op.InFlight(), 0u);
+  EXPECT_EQ(stats.blocks_in_use, 0u);
+  EXPECT_EQ(stats.query_ids_in_use, 0u);
+  EXPECT_EQ(stats.runtimes_registered, 0u);
+
+  // Stop() while queries are mid-lap: they abort (or finish first), and
+  // every block in flight comes back.
+  std::vector<std::unique_ptr<QueryHandle>> last;
+  for (int i = 0; i < 4; ++i) {
+    auto h = op.Submit(RandomSpec(*ts, rng));
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    last.push_back(std::move(*h));
+  }
+  while (op.GetStats().active_queries == 0 &&
+         std::chrono::steady_clock::now() < limit) {
+    std::this_thread::yield();
+  }
+  op.Stop();
+  for (auto& h : last) {
+    Result<ResultSet> rs = h->Wait();
+    if (!rs.ok()) {
+      EXPECT_EQ(rs.status().code(), StatusCode::kAborted)
+          << rs.status().ToString();
+    }
+  }
+  EXPECT_EQ(op.GetStats().blocks_in_use, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Arms, CJoinBlockBudgetTest,
+    ::testing::Values(BudgetParams{false, 128}, BudgetParams{false, 1},
+                      BudgetParams{true, 128}, BudgetParams{true, 1}),
+    [](const ::testing::TestParamInfo<BudgetParams>& info) {
+      return std::string(info.param.vertical ? "vertical" : "horizontal") +
+             (info.param.probe_batch > 1 ? "_batched" : "_scalar");
+    });
 
 /// A star query over TinyStar grouped by p_cat, so it always reads
 /// `product`: filtered by a p_id range (which may cover appended

@@ -1,5 +1,5 @@
 // Unit tests for the common runtime: Status/Result, bit-vector operations,
-// bounded queues, the bitmap tuple pool, hashing, and the PRNG.
+// bounded queues, hashing, and the PRNG.
 
 #include <algorithm>
 #include <atomic>
@@ -15,7 +15,6 @@
 #include "common/queue.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/tuple_pool.h"
 
 namespace cjoin {
 namespace {
@@ -311,81 +310,6 @@ TEST(QueueTest, HysteresisStillDeliversLastItems) {
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   q.Push(99);  // below the watermark: consumer wakes via timed recheck
   consumer.join();
-}
-
-// ----------------------------- TuplePool ------------------------------------
-
-TEST(TuplePoolTest, AcquireReleaseRoundtrip) {
-  TuplePool pool(64, 48);
-  void* a = pool.Acquire();
-  void* b = pool.Acquire();
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  EXPECT_TRUE(pool.Owns(a));
-  EXPECT_EQ(pool.InUse(), 2u);
-  pool.Release(a);
-  pool.Release(b);
-  EXPECT_EQ(pool.InUse(), 0u);
-}
-
-TEST(TuplePoolTest, StrideIsAligned) {
-  TuplePool pool(8, 13);
-  EXPECT_EQ(pool.stride() % 8, 0u);
-  void* p = pool.Acquire();
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 8, 0u);
-  pool.Release(p);
-}
-
-TEST(TuplePoolTest, ExhaustionHandsOutAllSlots) {
-  constexpr size_t kCap = 100;
-  TuplePool pool(kCap, 16);
-  std::set<void*> slots;
-  for (size_t i = 0; i < kCap; ++i) {
-    void* p = pool.TryAcquire();
-    ASSERT_NE(p, nullptr);
-    EXPECT_TRUE(slots.insert(p).second) << "duplicate slot";
-  }
-  EXPECT_EQ(pool.TryAcquire(), nullptr);
-  for (void* p : slots) pool.Release(p);
-  EXPECT_EQ(pool.InUse(), 0u);
-}
-
-TEST(TuplePoolTest, BlockedAcquireWakesOnRelease) {
-  TuplePool pool(1, 16);
-  void* held = pool.Acquire();
-  std::atomic<bool> got{false};
-  std::thread waiter([&] {
-    void* p = pool.Acquire();
-    got.store(true);
-    pool.Release(p);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(got.load());
-  pool.Release(held);
-  waiter.join();
-  EXPECT_TRUE(got.load());
-}
-
-TEST(TuplePoolTest, ConcurrentChurn) {
-  constexpr size_t kCap = 128;
-  TuplePool pool(kCap, 32);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&pool] {
-      Rng rng(std::hash<std::thread::id>{}(std::this_thread::get_id()));
-      for (int i = 0; i < 5000; ++i) {
-        void* p = pool.Acquire();
-        ASSERT_NE(p, nullptr);
-        // Touch the slot to catch aliasing.
-        *static_cast<uint64_t*>(p) = reinterpret_cast<uint64_t>(p);
-        ASSERT_EQ(*static_cast<uint64_t*>(p), reinterpret_cast<uint64_t>(p));
-        pool.Release(p);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(pool.InUse(), 0u);
 }
 
 // ------------------------------ Hash / Rng ----------------------------------

@@ -149,7 +149,9 @@ std::string BusyCounters(QueryEngine& engine) {
       const std::string at = star + "/s" + std::to_string(s) + ".";
       note(at + "inflight", (*op)->shard(s)->InFlight());
       note(at + "active_queries", st.active_queries);
-      note(at + "pool_in_use", st.pool_in_use);
+      note(at + "blocks_in_use", st.blocks_in_use);
+      note(at + "query_ids_in_use", st.query_ids_in_use);
+      note(at + "runtimes_registered", st.runtimes_registered);
       note(at + "dim_table_entries",
            std::accumulate(st.dim_table_sizes.begin(),
                            st.dim_table_sizes.end(), size_t{0}));

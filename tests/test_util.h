@@ -52,10 +52,11 @@ ResultSet ReferenceEvaluate(const StarQuerySpec& spec);
 /// Expects that every resource a query takes has come back: polls, for at
 /// most 10 s, until the admission totals (CJOIN in flight, baseline in
 /// system, waiting) are 0 and, on every shard of every star, InFlight(),
-/// active_queries, pool_in_use, the summed dim_table_sizes and the three
-/// *_pending counters are 0. Cleanup runs on pipeline threads after
-/// delivery, so a test that just returned from Wait() must poll. Records
-/// a test failure naming the counters that did not drain.
+/// active_queries, blocks_in_use, query_ids_in_use, runtimes_registered,
+/// the summed dim_table_sizes and the three *_pending counters are 0.
+/// Cleanup runs on pipeline threads after delivery, so a test that just
+/// returned from Wait() must poll. Records a test failure naming the
+/// counters that did not drain.
 void ExpectQuiescent(QueryEngine& engine);
 
 }  // namespace testing
