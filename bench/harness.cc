@@ -142,18 +142,6 @@ RunResult RunEngine(SystemKind kind, const ssb::SsbDatabase& db,
           ? cfg.max_concurrency_override
           : std::min<size_t>(1024, std::max<size_t>(cfg.concurrency, 8));
   eopts.cjoin_shards = cfg.cjoin_shards;
-  // One simulated volume per shard: the scans sleep on their own device
-  // (parallel I/O), instead of serializing on the shared disk. Declared
-  // before the engine so the devices outlive the pipelines.
-  std::vector<std::unique_ptr<SimDisk>> shard_disks;
-  if (cfg.disk_per_shard) {
-    const SimDisk::Options disk_opts =
-        cfg.disk != nullptr ? cfg.disk->options() : SimDisk::Options{};
-    for (size_t s = 0; s < cfg.cjoin_shards; ++s) {
-      shard_disks.push_back(std::make_unique<SimDisk>(disk_opts));
-      eopts.cjoin_shard_disks.push_back(shard_disks.back().get());
-    }
-  }
   eopts.cjoin.num_worker_threads = cfg.cjoin_threads;
   eopts.cjoin.batch_size = cfg.cjoin_batch_size;
   eopts.cjoin.queue_capacity = cfg.cjoin_queue_capacity;

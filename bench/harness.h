@@ -56,11 +56,6 @@ struct RunConfig {
   size_t max_concurrency_override = 0;
   /// Fact-table shards, each driving its own CJOIN pipeline instance.
   size_t cjoin_shards = 1;
-  /// Give each shard its own simulated volume (fresh SimDisk with
-  /// `disk`'s parameters, or the defaults when disk == nullptr): models a
-  /// striped array where shard scans proceed in parallel. false = all
-  /// shards contend for the single shared `disk`.
-  bool disk_per_shard = false;
   size_t cjoin_threads = 4;
   size_t cjoin_batch_size = 256;
   size_t cjoin_queue_capacity = 64;

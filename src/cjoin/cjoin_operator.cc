@@ -11,7 +11,8 @@
 
 namespace cjoin {
 
-CJoinOperator::CJoinOperator(const StarSchema& star, Options options)
+CJoinOperator::CJoinOperator(const StarSchema& star, Options options,
+                             ScanSlice slice)
     : star_(star),
       opts_(options),
       width_(bitops::WordsForBits(options.max_concurrent_queries)),
@@ -88,7 +89,7 @@ CJoinOperator::CJoinOperator(const StarSchema& star, Options options)
   popts.flight_label = opts_.name_prefix + "scan";
   preprocessor_ = std::make_unique<Preprocessor>(
       star_, width_, blocks_.get(), epochs_.get(), queues_.front().get(),
-      popts);
+      popts, slice);
 
   distributor_ = std::make_unique<Distributor>(
       width_, opts_.max_concurrent_queries, epochs_.get(),

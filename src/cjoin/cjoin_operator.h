@@ -104,7 +104,9 @@ class CJoinOperator {
     std::string name_prefix;
   };
 
-  CJoinOperator(const StarSchema& star, Options options);
+  /// Runs the pipeline over `slice` of star.fact(): the whole table by
+  /// default, or one shard's pages in a ShardedCJoinOperator.
+  CJoinOperator(const StarSchema& star, Options options, ScanSlice slice = {});
   ~CJoinOperator();
 
   CJoinOperator(const CJoinOperator&) = delete;

@@ -16,7 +16,7 @@ namespace cjoin {
 
 Preprocessor::Preprocessor(const StarSchema& star, size_t width_words,
                            BlockFreeList* blocks, EpochTracker* epochs,
-                           BatchQueue* out, Options options)
+                           BatchQueue* out, Options options, ScanSlice slice)
     : star_(star),
       width_(width_words),
       num_dims_(star.num_dimensions()),
@@ -26,7 +26,8 @@ Preprocessor::Preprocessor(const StarSchema& star, size_t width_words,
       opts_(options),
       scan_(star.fact(),
             ContinuousScan::Options{options.scan_run_rows, options.disk,
-                                    options.reader_id}),
+                                    options.reader_id},
+            slice),
       admissions_(1024) {
   auto& reg = obs::MetricsRegistry::Global();
   obs_rows_scanned_ = reg.GetCounter("cjoin_preprocessor_rows_scanned_total",

@@ -58,9 +58,10 @@ class Preprocessor {
     std::string flight_label = "scan";
   };
 
+  /// Scans `slice` of star.fact().
   Preprocessor(const StarSchema& star, size_t width_words,
                BlockFreeList* blocks, EpochTracker* epochs, BatchQueue* out,
-               Options options);
+               Options options, ScanSlice slice);
 
   /// Queues a fully-loaded query for installation (Pipeline Manager
   /// thread; Algorithm 1's final step, called for each query of an

@@ -170,20 +170,17 @@ struct MergeState {
 
 }  // namespace
 
-ShardedCJoinOperator::ShardedCJoinOperator(
-    const StarSchema& source, std::vector<const StarSchema*> shard_stars,
-    Options options)
-    : source_(source), stars_(std::move(shard_stars)), opts_(options) {
-  assert(!stars_.empty() && "at least one shard star required");
-  for (size_t s = 0; s < stars_.size(); ++s) {
+ShardedCJoinOperator::ShardedCJoinOperator(const StarSchema& source,
+                                           size_t num_shards,
+                                           Options options)
+    : source_(source), opts_(options) {
+  assert(num_shards > 0 && "at least one shard required");
+  for (size_t s = 0; s < num_shards; ++s) {
     CJoinOperator::Options op_opts = opts_.op;
     op_opts.disk_reader_id = opts_.op.disk_reader_id + s;
     op_opts.name_prefix = "s" + std::to_string(s) + "/";
-    if (!opts_.shard_disks.empty()) {
-      op_opts.disk = opts_.shard_disks[s % opts_.shard_disks.size()];
-    }
-    shards_.push_back(
-        std::make_unique<CJoinOperator>(*stars_[s], op_opts));
+    shards_.push_back(std::make_unique<CJoinOperator>(
+        source_, op_opts, ScanSlice{s, num_shards}));
   }
 }
 
@@ -218,7 +215,6 @@ Result<std::unique_ptr<QueryHandle>> ShardedCJoinOperator::Submit(
   }
   if (shards_.size() == 1 && !opts_.force_merge_path) {
     // The pool degenerates to exactly the single-operator pipeline.
-    spec.schema = stars_[0];
     return shards_[0]->Submit(std::move(spec), std::move(options));
   }
 
@@ -253,7 +249,7 @@ Result<std::unique_ptr<QueryHandle>> ShardedCJoinOperator::Submit(
   state->global_row_when_empty = spec.group_by.empty();
 
   auto merge_rt = std::make_shared<QueryRuntime>();
-  merge_rt->spec = spec;  // schema stays &source_
+  merge_rt->spec = spec;
   merge_rt->deadline_ns.store(options.deadline_ns, std::memory_order_relaxed);
   merge_rt->submit_ns.store(QueryRuntime::NowNs());
   merge_rt->completion_observer = std::move(options.completion_observer);
@@ -270,9 +266,6 @@ Result<std::unique_ptr<QueryHandle>> ShardedCJoinOperator::Submit(
   }
 
   for (size_t s = 0; s < shards_.size(); ++s) {
-    StarQuerySpec shard_spec = merge_rt->spec;
-    shard_spec.schema = stars_[s];
-
     CJoinOperator::SubmitOptions so;
     so.deadline_ns = options.deadline_ns;
     so.assume_normalized = true;
@@ -305,7 +298,7 @@ Result<std::unique_ptr<QueryHandle>> ShardedCJoinOperator::Submit(
     };
 
     Result<std::unique_ptr<QueryHandle>> handle =
-        shards_[s]->Submit(std::move(shard_spec), std::move(so));
+        shards_[s]->Submit(merge_rt->spec, std::move(so));
     if (!handle.ok()) {
       // Unwind the shards already registered; their early termination is
       // observed only by the (now dying) weak state.

@@ -1,17 +1,24 @@
-// ShardedCJoinOperator: an elastic pool of CJOIN pipeline instances over a
-// hash-partitioned fact table.
+// ShardedCJoinOperator: an elastic pool of CJOIN pipeline instances over
+// page slices of one fact table.
 //
 // One CJoinOperator is bounded by its single continuous scan's fact-tuple
 // rate. This operator runs N full pipeline instances — each with its own
-// continuous scan, Preprocessor, filter Stages, and Distributor — over N
-// disjoint fact shards (built by the engine's ShardManager), while keeping
-// the paper's one-registration query model:
+// continuous scan, Preprocessor, filter Stages, and Distributor — over the
+// one source fact table, while keeping the paper's one-registration query
+// model:
 //
 //   Submit(spec) --> mirror registration on every shard
 //                      shard 0: scan -> pre -> filters -> dist -+
 //                      shard 1: scan -> pre -> filters -> dist -+-> merge
 //                      ...                                      |
 //                    merging collector completes the ticket  <--+
+//
+// Shard s's scan delivers only the pages of slice {s, N} (ScanSlice in
+// continuous_scan.h). The slices cover the table disjointly and each
+// returns its rows in the same order every lap (§3.3.3), so per-shard
+// partial aggregates merge into exactly the single-operator answer. No row
+// is copied: appends and deletes write the source table once, and every
+// shard sees them through the table's MVCC headers and lap freezes.
 //
 // Each shard assigns the query its own bit-vector slot and loads the
 // query's dimension hash-table entries from the shared dimension tables
@@ -50,20 +57,15 @@ class ShardedCJoinOperator {
     /// shard s scans as reader disk_reader_id + s, so a shared SimDisk
     /// sees N distinct sequential readers.
     CJoinOperator::Options op;
-    /// Per-shard disk devices (shard s uses shard_disks[s % size]): models
-    /// shards placed on independent volumes, whose scans proceed in
-    /// parallel instead of contending for op.disk. Empty = every shard
-    /// shares op.disk.
-    std::vector<SimDisk*> shard_disks;
     /// Run the mirror/merge machinery even with a single shard (testing:
     /// proves the collector is byte-identical to the direct path).
     bool force_merge_path = false;
   };
 
-  /// `shard_stars` are the per-shard star schemas (ShardManager's view);
-  /// `source` is the star that submitted specs are bound against.
-  ShardedCJoinOperator(const StarSchema& source,
-                       std::vector<const StarSchema*> shard_stars,
+  /// Builds `num_shards` (>= 1) pipelines over `source`; shard s scans
+  /// slice {s, num_shards} of its fact table. Submitted specs are bound
+  /// against `source`.
+  ShardedCJoinOperator(const StarSchema& source, size_t num_shards,
                        Options options);
   ~ShardedCJoinOperator();
 
@@ -110,7 +112,6 @@ class ShardedCJoinOperator {
 
  private:
   const StarSchema& source_;
-  std::vector<const StarSchema*> stars_;
   Options opts_;
   std::vector<std::unique_ptr<CJoinOperator>> shards_;
 };

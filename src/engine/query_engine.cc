@@ -179,13 +179,13 @@ void QueryEngine::Shutdown() {
   // submit into pools that are about to stop.
   admission_->Shutdown();
   baseline_pool_->Shutdown();
-  std::vector<std::shared_ptr<ExecPool>> pools;
+  std::vector<std::shared_ptr<ShardedCJoinOperator>> pools;
   {
     ReaderMutexLock lk(&ops_mu_);
     for (auto& entry : stars_) pools.push_back(entry->pool);
   }
   for (auto& pool : pools) {
-    if (pool != nullptr && pool->op != nullptr) pool->op->Stop();
+    if (pool != nullptr) pool->Stop();
   }
 }
 
@@ -211,20 +211,16 @@ bool QueryEngine::Shutdown(std::chrono::nanoseconds drain_timeout) {
   return drained;
 }
 
-Result<std::shared_ptr<QueryEngine::ExecPool>> QueryEngine::MakePool(
+Result<std::shared_ptr<ShardedCJoinOperator>> QueryEngine::MakePool(
     const StarSchema& star, size_t shards, uint64_t disk_reader_base) {
-  auto pool = std::make_shared<ExecPool>();
-  CJOIN_ASSIGN_OR_RETURN(pool->shards, ShardManager::Make(star, shards));
   ShardedCJoinOperator::Options sopts;
   sopts.op = opts_.cjoin;
   sopts.op.disk_reader_id = disk_reader_base;
-  sopts.shard_disks = opts_.cjoin_shard_disks;
   sopts.op.snapshot_probe = [this] {
     return snapshot_.load(std::memory_order_acquire);
   };
-  pool->op = std::make_unique<ShardedCJoinOperator>(
-      star, pool->shards->shard_stars(), sopts);
-  CJOIN_RETURN_IF_ERROR(pool->op->Start());
+  auto pool = std::make_shared<ShardedCJoinOperator>(star, shards, sopts);
+  CJOIN_RETURN_IF_ERROR(pool->Start());
   return pool;
 }
 
@@ -296,19 +292,19 @@ Result<QueryEngine::StarEntry*> QueryEngine::EntryFor(
       "from the registered star over the same fact table)");
 }
 
-std::shared_ptr<QueryEngine::ExecPool> QueryEngine::PoolFor(
+std::shared_ptr<ShardedCJoinOperator> QueryEngine::PoolFor(
     StarEntry* entry) const {
   ReaderMutexLock lk(&ops_mu_);
   return entry->pool;
 }
 
 RouteInputs QueryEngine::SampleRouteInputs(
-    const ExecPool& pool, const std::string& tenant,
+    const ShardedCJoinOperator& pool, const std::string& tenant,
     AdmissionDecision* probe_cjoin,
     AdmissionDecision* probe_baseline) const {
   RouteInputs inputs;
-  inputs.inflight = pool.op->InFlight();
-  inputs.shards = pool.op->num_shards();
+  inputs.inflight = pool.InFlight();
+  inputs.shards = pool.num_shards();
   inputs.baseline_queued = baseline_pool_->queued();
   inputs.baseline_workers = baseline_pool_->workers();
   admission_->SampleForRouting(tenant, &inputs, probe_cjoin,
@@ -326,10 +322,10 @@ Status QueryEngine::SetShardCount(std::string_view star_name,
     return Status::InvalidArgument("shard count must be <= " +
                                    std::to_string(kReaderIdStride));
   }
-  // Freeze writers: the replica build must see one consistent committed
-  // state, and mirrored updates must never straddle two shard sets. The
+  // Held only to serialize with Shutdown (and other re-shards): the
   // shutdown check lives under the same lock, so a pool can never be
-  // built and started after Shutdown swept the existing ones.
+  // built and started after Shutdown swept the existing ones. Writers
+  // need no exclusion: the new pool scans the same table they write.
   MutexLock ulk(&update_mu_);
   if (shut_down_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("engine shut down");
@@ -342,19 +338,19 @@ Status QueryEngine::SetShardCount(std::string_view star_name,
       if (stars_[i].get() == entry) reader_base = i * kReaderIdStride;
     }
   }
-  // Build and start the replacement pool first; swap, then stop the old
-  // pool (its in-flight CJOIN queries resolve with kAborted). Concurrent
-  // Execute() calls hold the pool by shared_ptr, so the old shard tables
-  // stay alive until the last ticket lets go.
-  CJOIN_ASSIGN_OR_RETURN(std::shared_ptr<ExecPool> fresh,
+  // Start the replacement pipelines first; swap, then stop the old pool
+  // (its in-flight CJOIN queries resolve with kAborted). Concurrent
+  // Execute() calls hold the pool by shared_ptr, so the old operator
+  // stays alive until the last ticket lets go.
+  CJOIN_ASSIGN_OR_RETURN(std::shared_ptr<ShardedCJoinOperator> fresh,
                          MakePool(*entry->star, shards, reader_base));
-  std::shared_ptr<ExecPool> old;
+  std::shared_ptr<ShardedCJoinOperator> old;
   {
     WriterMutexLock lk(&ops_mu_);
     old = std::move(entry->pool);
     entry->pool = std::move(fresh);
   }
-  if (old != nullptr && old->op != nullptr) old->op->Stop();
+  if (old != nullptr) old->Stop();
   // The shard count shifts the per-query timing regime (scan laps
   // shrink, pipeline threads multiply): age the calibrator's fits so
   // stale evidence stops steering decisions until fresh queries confirm.
@@ -364,7 +360,7 @@ Status QueryEngine::SetShardCount(std::string_view star_name,
 
 Result<size_t> QueryEngine::ShardCount(std::string_view star_name) {
   CJOIN_ASSIGN_OR_RETURN(StarEntry * entry, EntryByName(star_name));
-  return PoolFor(entry)->op->num_shards();
+  return PoolFor(entry)->num_shards();
 }
 
 Result<QueryEngine::StarEntry*> QueryEngine::ResolveRequest(
@@ -408,7 +404,7 @@ Result<std::unique_ptr<QueryTicket>> QueryEngine::Execute(
     return std::make_unique<QueryTicket>(std::move(decision), std::move(c));
   }
   CJOIN_ASSIGN_OR_RETURN(StarEntry * entry, ResolveRequest(&request));
-  std::shared_ptr<ExecPool> pool = PoolFor(entry);
+  std::shared_ptr<ShardedCJoinOperator> pool = PoolFor(entry);
   c->tenant = TenantOrDefault(request.tenant);
   c->label = request.spec.label;
   c->set_snapshot(request.spec.snapshot);
@@ -551,7 +547,7 @@ Result<std::unique_ptr<QueryTicket>> QueryEngine::Execute(
   return std::make_unique<QueryTicket>(std::move(decision), std::move(c));
 }
 
-Status QueryEngine::SubmitCJoin(StarEntry* entry, const ExecPool& pool,
+Status QueryEngine::SubmitCJoin(StarEntry* entry, ShardedCJoinOperator& pool,
                                 const std::shared_ptr<Completion>& c,
                                 StarQuerySpec spec,
                                 AggregatorFactory aggregator,
@@ -562,7 +558,7 @@ Status QueryEngine::SubmitCJoin(StarEntry* entry, const ExecPool& pool,
   // it (the min over shards — the snapshot then reads identical data on
   // every shard). Deletes never need capping — deleted rows stay inside
   // the scanned ranges and are filtered per row by xmax.
-  const SnapshotId covered = pool.op->covered_snapshot();
+  const SnapshotId covered = pool.covered_snapshot();
   if (entry->last_append_snapshot.load(std::memory_order_acquire) >
       covered) {
     spec.snapshot = std::min(spec.snapshot, covered);
@@ -581,7 +577,7 @@ Status QueryEngine::SubmitCJoin(StarEntry* entry, const ExecPool& pool,
   };
   c->MarkQueueEnd(QueryRuntime::NowNs());
   Result<std::unique_ptr<QueryHandle>> handle =
-      pool.op->Submit(std::move(spec), std::move(so));
+      pool.Submit(std::move(spec), std::move(so));
   if (!handle.ok()) {
     // Refused before registration: no delivery will follow.
     c->Reject(handle.status());
@@ -710,7 +706,7 @@ Result<RouteDecision> QueryEngine::ProbeRoute(QueryRequest request) {
   // than the costs). DecideMode::kProbe keeps the probe side-effect
   // free: no decision counters, no exploration tick, no quota consumed.
   CJOIN_ASSIGN_OR_RETURN(StarEntry * entry, ResolveRequest(&request));
-  std::shared_ptr<ExecPool> pool = PoolFor(entry);
+  std::shared_ptr<ShardedCJoinOperator> pool = PoolFor(entry);
   const std::string t = TenantOrDefault(request.tenant);
   AdmissionDecision probe_cjoin, probe_baseline;
   const RouteInputs inputs =
@@ -763,7 +759,8 @@ void QueryEngine::SampleForWatchdog(
     std::vector<obs::Watchdog::StageSample>& stages,
     std::vector<obs::Watchdog::QueueSample>& queues) {
   if (shut_down_.load(std::memory_order_acquire)) return;
-  std::vector<std::pair<std::string, std::shared_ptr<ExecPool>>> pools;
+  std::vector<std::pair<std::string, std::shared_ptr<ShardedCJoinOperator>>>
+      pools;
   {
     ReaderMutexLock lk(&ops_mu_);
     for (const auto& entry : stars_) {
@@ -771,8 +768,8 @@ void QueryEngine::SampleForWatchdog(
     }
   }
   for (const auto& [star, pool] : pools) {
-    if (pool == nullptr || pool->op == nullptr) continue;
-    const std::vector<CJoinOperator::Stats> shards = pool->op->PerShardStats();
+    if (pool == nullptr) continue;
+    const std::vector<CJoinOperator::Stats> shards = pool->PerShardStats();
     for (size_t s = 0; s < shards.size(); ++s) {
       const CJoinOperator::Stats& st = shards[s];
       const std::string prefix = star + "/s" + std::to_string(s) + "/";
@@ -946,7 +943,6 @@ Result<SnapshotId> QueryEngine::AppendFacts(
   CJOIN_ASSIGN_OR_RETURN(StarEntry * entry, EntryByName(star_name));
   Table& fact = *const_cast<Table*>(&entry->star->fact());
   MutexLock lk(&update_mu_);
-  std::shared_ptr<ExecPool> pool = PoolFor(entry);
   const SnapshotId commit = snapshot_.load(std::memory_order_relaxed) + 1;
   if (partition >= fact.num_partitions()) {
     return Status::InvalidArgument("partition out of range");
@@ -956,9 +952,6 @@ Result<SnapshotId> QueryEngine::AppendFacts(
       return Status::InvalidArgument("row payload size mismatch");
     }
     fact.AppendRow(payload.data(), partition, commit);
-    // Mirror into the owning shard replica under the same commit, so
-    // every shard's next lap freeze exposes the row at one snapshot.
-    pool->shards->MirrorAppend(payload.data(), partition, commit);
   }
   snapshot_.store(commit, std::memory_order_release);
   entry->last_append_snapshot.store(commit, std::memory_order_release);
@@ -974,7 +967,6 @@ Result<SnapshotId> QueryEngine::DeleteFacts(std::string_view star_name,
   Table& fact = *const_cast<Table*>(&entry->star->fact());
   const Schema& fs = fact.schema();
   MutexLock lk(&update_mu_);
-  std::shared_ptr<ExecPool> pool = PoolFor(entry);
   const SnapshotId commit = snapshot_.load(std::memory_order_relaxed) + 1;
   for (uint32_t p = 0; p < fact.num_partitions(); ++p) {
     const uint64_t n = fact.PartitionRows(p);
@@ -985,7 +977,6 @@ Result<SnapshotId> QueryEngine::DeleteFacts(std::string_view star_name,
       CJOIN_RETURN_IF_ERROR(fact.MarkDeleted(id, commit));
     }
   }
-  CJOIN_RETURN_IF_ERROR(pool->shards->MirrorDelete(*predicate, commit));
   snapshot_.store(commit, std::memory_order_release);
   return commit;
 }
@@ -1000,7 +991,7 @@ std::vector<std::string> QueryEngine::StarNames() const {
 Result<ShardedCJoinOperator*> QueryEngine::OperatorFor(
     std::string_view star_name) {
   CJOIN_ASSIGN_OR_RETURN(StarEntry * entry, EntryByName(star_name));
-  return PoolFor(entry)->op.get();
+  return PoolFor(entry).get();
 }
 
 }  // namespace cjoin

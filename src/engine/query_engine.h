@@ -1,9 +1,9 @@
 // QueryEngine: the system facade around the CJOIN operator pool.
 //
 // Owns the galaxy of star schemas, one always-on pool of CJOIN pipeline
-// instances per fact table (a ShardManager hash-partitions the fact table
-// and a ShardedCJoinOperator drives one full pipeline per shard; one shard
-// — the default — degenerates to exactly the paper's single operator),
+// instances per fact table (a ShardedCJoinOperator drives one full
+// pipeline per page slice of the one fact table; one shard — the default
+// — degenerates to exactly the paper's single operator),
 // the snapshot counter for snapshot-isolated updates (§3.5), a worker
 // pool for the conventional (query-at-a-time) executor, and the
 // cost-based Router that makes CJOIN "yet one more choice for the
@@ -33,7 +33,6 @@
 #include "engine/query_api.h"
 #include "engine/route_feedback.h"
 #include "engine/router.h"
-#include "engine/shard_manager.h"
 #include "engine/sql_parser.h"
 #include "obs/metrics.h"
 #include "obs/query_trace.h"
@@ -46,15 +45,11 @@ class QueryEngine {
  public:
   struct Options {
     CJoinOperator::Options cjoin;
-    /// Parallel CJOIN pipeline instances per star: the fact table is
-    /// hash-partitioned into this many shards, each with its own
-    /// continuous scan. 1 (the default) is the classic single operator;
-    /// clamped to 64 (each star owns a 64-wide disk-reader-id block).
+    /// Parallel CJOIN pipeline instances per star: each continuous scan
+    /// delivers one page slice of the fact table. 1 (the default) is the
+    /// classic single operator; clamped to 64 (each star owns a 64-wide
+    /// disk-reader-id block).
     size_t cjoin_shards = 1;
-    /// Per-shard disk devices (shard s uses entry s % size): models shard
-    /// placement on independent volumes. Empty = all shards share
-    /// cjoin.disk.
-    std::vector<SimDisk*> cjoin_shard_disks;
     QatOptions baseline;
     /// Worker threads executing baseline-routed queries.
     size_t baseline_workers = 2;
@@ -86,8 +81,8 @@ class QueryEngine {
   QueryEngine() : QueryEngine(Options{}) {}
   ~QueryEngine();
 
-  /// Registers a star schema under `name`, shards its fact table
-  /// (Options::cjoin_shards ways), and starts its CJOIN pipeline pool.
+  /// Registers a star schema under `name` and starts its CJOIN pipeline
+  /// pool (Options::cjoin_shards page slices of its fact table).
   Status RegisterStar(std::string name, StarSchema star);
 
   Result<const StarSchema*> FindStar(std::string_view name) const;
@@ -159,12 +154,11 @@ class QueryEngine {
 
   // --- Sharding (runtime elasticity) ----------------------------------------
 
-  /// Re-shards the named star's fact table into `shards` parallel CJOIN
-  /// pipelines. The replacement pool is built and started from the current
-  /// committed table state before the old pool is stopped; CJOIN queries
-  /// still in flight on the old pool complete with kAborted (callers see
-  /// it through their tickets). Updates are serialized against the
-  /// rebuild, so no committed row is lost.
+  /// Restarts the named star's CJOIN pool as `shards` parallel pipelines
+  /// over page slices of the same fact table; no data is copied or
+  /// rebuilt. The replacement pool is started before the old pool is
+  /// stopped; CJOIN queries still in flight on the old pool complete with
+  /// kAborted (callers see it through their tickets).
   Status SetShardCount(std::string_view star_name, size_t shards);
 
   /// Current shard count of the named star's pipeline pool.
@@ -217,18 +211,16 @@ class QueryEngine {
   }
 
   /// Appends fact rows (payload vectors of the fact schema's row size) to
-  /// the named star's fact table as one transaction — mirrored into every
-  /// shard replica under the same commit snapshot — and returns the
-  /// snapshot at which they became visible. New rows are observed by each
-  /// shard's continuous scan from its next lap (storage freezes sizes per
-  /// lap).
+  /// the named star's fact table as one transaction and returns the
+  /// snapshot at which they became visible. Each new row lies in exactly
+  /// one shard's page slice and is observed by that shard's continuous
+  /// scan from its next lap (storage freezes sizes per lap).
   Result<SnapshotId> AppendFacts(std::string_view star_name,
                                  const std::vector<std::vector<uint8_t>>& rows,
                                  uint32_t partition = 0);
 
   /// Deletes fact rows matching `predicate` (over the fact schema) as one
-  /// transaction, mirrored into every shard replica; returns the first
-  /// snapshot that no longer sees them.
+  /// transaction; returns the first snapshot that no longer sees them.
   Result<SnapshotId> DeleteFacts(std::string_view star_name,
                                  const ExprPtr& predicate);
 
@@ -259,23 +251,16 @@ class QueryEngine {
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
  private:
-  /// One star's execution pool: the shard set and the operator pool over
-  /// it. Swapped wholesale (shared_ptr) by SetShardCount so concurrent
-  /// Execute() calls holding the old pool stay memory-safe; `op` is
-  /// declared after `shards` because it references the shard stars.
-  struct ExecPool {
-    std::unique_ptr<ShardManager> shards;
-    std::unique_ptr<ShardedCJoinOperator> op;
-  };
-
   struct StarEntry {
     std::string name;
     std::unique_ptr<StarSchema> star;
-    /// Guarded by the engine's ops_mu_ (thread-safety annotations cannot
-    /// name an enclosing object's mutex from a nested struct, so the
-    /// contract is documented here and enforced at the access sites:
-    /// PoolFor / SetShardCount).
-    std::shared_ptr<ExecPool> pool;
+    /// The star's CJOIN pipeline pool. Swapped wholesale by SetShardCount,
+    /// so concurrent Execute() calls holding the old pool stay
+    /// memory-safe. Guarded by the engine's ops_mu_ (thread-safety
+    /// annotations cannot name an enclosing object's mutex from a nested
+    /// struct, so the contract is documented here and enforced at the
+    /// access sites: PoolFor / SetShardCount).
+    std::shared_ptr<ShardedCJoinOperator> pool;
     /// Snapshot of the newest committed append to this star's fact table.
     /// Queries are snapshot-capped only while appends beyond the scan's
     /// covered bound exist (deletes are always within scanned ranges).
@@ -288,7 +273,7 @@ class QueryEngine {
       EXCLUDES(ops_mu_);
 
   /// Snapshot of the star's current pool (safe against SetShardCount).
-  std::shared_ptr<ExecPool> PoolFor(StarEntry* entry) const
+  std::shared_ptr<ShardedCJoinOperator> PoolFor(StarEntry* entry) const
       EXCLUDES(ops_mu_);
 
   /// Load inputs the Router prices: one sampling point shared by
@@ -297,7 +282,7 @@ class QueryEngine {
   /// sampled under ONE controller lock acquisition together with the
   /// optional per-route admission probes (EXPLAIN ROUTE's verdict line
   /// therefore cannot disagree with the load its costs were priced on).
-  RouteInputs SampleRouteInputs(const ExecPool& pool,
+  RouteInputs SampleRouteInputs(const ShardedCJoinOperator& pool,
                                 const std::string& tenant,
                                 AdmissionDecision* probe_cjoin = nullptr,
                                 AdmissionDecision* probe_baseline =
@@ -314,7 +299,7 @@ class QueryEngine {
   /// semantics under concurrent appends. A refusal (ids still taken after
   /// `id_grace_ns`, the pool stopping under SetShardCount, the deadline
   /// just passed) rejects `c` and is returned.
-  Status SubmitCJoin(StarEntry* entry, const ExecPool& pool,
+  Status SubmitCJoin(StarEntry* entry, ShardedCJoinOperator& pool,
                      const std::shared_ptr<Completion>& c, StarQuerySpec spec,
                      AggregatorFactory aggregator, int64_t deadline_ns,
                      int64_t id_grace_ns);
@@ -331,10 +316,9 @@ class QueryEngine {
   /// calibrator's observation.
   void Finalize(const Completion& c, const Result<ResultSet>& result);
 
-  /// Builds and starts a shard set + operator pool for `star`.
-  Result<std::shared_ptr<ExecPool>> MakePool(const StarSchema& star,
-                                             size_t shards,
-                                             uint64_t disk_reader_base);
+  /// Builds and starts a `shards`-way operator pool over `star`.
+  Result<std::shared_ptr<ShardedCJoinOperator>> MakePool(
+      const StarSchema& star, size_t shards, uint64_t disk_reader_base);
 
   /// Resolves a request's spec (parsing SQL if needed), normalizes it,
   /// and defaults its snapshot; returns the owning star entry.
@@ -367,7 +351,9 @@ class QueryEngine {
   mutable SharedMutex ops_mu_;
   std::vector<std::unique_ptr<StarEntry>> stars_ GUARDED_BY(ops_mu_);
   std::atomic<SnapshotId> snapshot_{1};
-  Mutex update_mu_;  // serializes writers (single-writer storage)
+  /// Serializes writers (single-writer storage), and SetShardCount with
+  /// Shutdown.
+  Mutex update_mu_;
   /// Set under update_mu_ (so SetShardCount, which holds update_mu_ for
   /// its whole body, cannot start a fresh pool after Shutdown swept the
   /// existing ones); read lock-free on the query paths.

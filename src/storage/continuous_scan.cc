@@ -5,8 +5,41 @@
 
 namespace cjoin {
 
-ContinuousScan::ContinuousScan(const Table& table, Options options)
-    : table_(table), opts_(options) {
+namespace {
+
+/// Fills `event` with the run of rows that starts at row `index` of
+/// partition `part`, whose frozen size is `size`: at most max_run_rows
+/// rows, never past the end of the page. Charges the optional disk model
+/// for the run and returns its length. The caller sets lap and first_tick.
+size_t BuildRun(const Table& table, const ContinuousScan::Options& opts,
+                uint32_t part, uint64_t index, uint64_t size,
+                ScanEvent* event) {
+  const size_t rows_per_page = table.rows_per_page();
+  const size_t in_page = index % rows_per_page;
+  size_t run = std::min<uint64_t>(opts.max_run_rows, size - index);
+  run = std::min(run, rows_per_page - in_page);
+
+  const size_t stride = table.row_stride();
+  event->kind = ScanEvent::Kind::kRows;
+  event->partition = part;
+  event->base =
+      table.PageData(part, index / rows_per_page) + in_page * stride;
+  event->count = run;
+  event->first_index = index;
+  event->partition_size = size;
+
+  if (opts.disk != nullptr) {
+    opts.disk->Acquire(opts.reader_id, static_cast<uint64_t>(run) * stride);
+  }
+  return run;
+}
+
+}  // namespace
+
+ContinuousScan::ContinuousScan(const Table& table, Options options,
+                               ScanSlice slice)
+    : table_(table), opts_(options), slice_(slice) {
+  assert(slice_.count > 0 && slice_.index < slice_.count);
   if (opts_.max_run_rows == 0) opts_.max_run_rows = 1;
   laps_.assign(table_.num_partitions(), 0);
   frozen_sizes_.assign(table_.num_partitions(), 0);
@@ -19,6 +52,17 @@ void ContinuousScan::FreezeSizes() {
     frozen_sizes_[p] = table_.PartitionRows(p);
     frozen_total_ += frozen_sizes_[p];
   }
+}
+
+void ContinuousScan::SkipUnownedPages() {
+  if (slice_.count == 1) return;
+  const size_t rows_per_page = table_.rows_per_page();
+  uint64_t page = index_ / rows_per_page;
+  if (slice_.Owns(part_, page)) return;
+  do {
+    ++page;
+  } while (!slice_.Owns(part_, page));
+  index_ = page * rows_per_page;
 }
 
 bool ContinuousScan::SkipEmptyPartitions() {
@@ -51,6 +95,7 @@ bool ContinuousScan::Next(ScanEvent* event) {
     return true;
   }
 
+  SkipUnownedPages();  // the pass's first page may be another slice's
   const uint64_t size = frozen_sizes_[part_];
   if (index_ >= size) {
     // Partition pass complete.
@@ -69,30 +114,14 @@ bool ContinuousScan::Next(ScanEvent* event) {
     return true;
   }
 
-  // Deliver the next run: stay within one page and one partition.
-  const size_t rows_per_page = table_.rows_per_page();
-  const size_t page = index_ / rows_per_page;
-  const size_t in_page = index_ % rows_per_page;
-  size_t run = std::min<uint64_t>(opts_.max_run_rows, size - index_);
-  run = std::min(run, rows_per_page - in_page);
-
-  const size_t stride = table_.row_stride();
-  event->kind = ScanEvent::Kind::kRows;
-  event->partition = part_;
+  const size_t run = BuildRun(table_, opts_, part_, index_, size, event);
   event->lap = laps_[part_];
-  event->base = table_.PageData(part_, page) + in_page * stride;
-  event->count = run;
-  event->first_index = index_;
-  event->partition_size = size;
   event->first_tick = tick_;
-
-  if (opts_.disk != nullptr) {
-    opts_.disk->Acquire(opts_.reader_id,
-                        static_cast<uint64_t>(run) * stride);
-  }
-
   index_ += run;
   tick_ += run;
+  // Skip now, not before the next run: ComputeCheckpoint may read
+  // current_index() in between (see current_index()).
+  SkipUnownedPages();
   return true;
 }
 
@@ -117,27 +146,10 @@ bool SinglePassScan::Next(ScanEvent* event) {
   if (part_cursor_ >= parts_.size()) return false;
 
   const uint32_t part = parts_[part_cursor_];
-  const uint64_t size = table_.PartitionRows(part);
-  const size_t rows_per_page = table_.rows_per_page();
-  const size_t page = index_ / rows_per_page;
-  const size_t in_page = index_ % rows_per_page;
-  size_t run = std::min<uint64_t>(opts_.max_run_rows, size - index_);
-  run = std::min(run, rows_per_page - in_page);
-
-  const size_t stride = table_.row_stride();
-  event->kind = ScanEvent::Kind::kRows;
-  event->partition = part;
+  const size_t run = BuildRun(table_, opts_, part, index_,
+                              table_.PartitionRows(part), event);
   event->lap = 1;
-  event->base = table_.PageData(part, page) + in_page * stride;
-  event->count = run;
-  event->first_index = index_;
-  event->partition_size = size;
   event->first_tick = index_;
-
-  if (opts_.disk != nullptr) {
-    opts_.disk->Acquire(opts_.reader_id,
-                        static_cast<uint64_t>(run) * stride);
-  }
   index_ += run;
   return true;
 }

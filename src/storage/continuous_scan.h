@@ -17,6 +17,13 @@
 // until the next lap: partition sizes are frozen at each lap start, which
 // keeps the per-lap row universe stable (appended rows are invisible to
 // older snapshots anyway under MVCC).
+//
+// A scan may deliver only a slice of the table (ScanSlice): slice s of N
+// owns page g of partition p iff (p + g) % N == s. N slices cover every
+// row exactly once per lap, in a fixed order, so N scans of one table can
+// feed N parallel CJOIN pipelines with no copy of the data. A slice still
+// emits every non-empty partition's pass-start / pass-end events, owned
+// pages or not.
 
 #ifndef CJOIN_STORAGE_CONTINUOUS_SCAN_H_
 #define CJOIN_STORAGE_CONTINUOUS_SCAN_H_
@@ -56,8 +63,21 @@ struct ScanEvent {
   uint64_t first_tick = 0;
 };
 
-/// Endless cyclic scan over a Table. Single-consumer; the CJOIN
-/// Preprocessor is the only caller.
+/// The pages one scan delivers: page `page` of partition `partition`
+/// belongs to slice `index` of `count` iff (partition + page) % count ==
+/// index. Adding the partition spreads single-page partitions across
+/// slices. The default {0, 1} is the whole table.
+struct ScanSlice {
+  size_t index = 0;
+  size_t count = 1;
+
+  bool Owns(uint32_t partition, uint64_t page) const {
+    return (partition + page) % count == index;
+  }
+};
+
+/// Endless cyclic scan over a Table (or one slice of it). Single-consumer;
+/// the CJOIN Preprocessor is the only caller.
 class ContinuousScan {
  public:
   struct Options {
@@ -69,7 +89,7 @@ class ContinuousScan {
     uint64_t reader_id = 0;
   };
 
-  ContinuousScan(const Table& table, Options options);
+  ContinuousScan(const Table& table, Options options, ScanSlice slice = {});
   explicit ContinuousScan(const Table& table)
       : ContinuousScan(table, Options{}) {}
 
@@ -78,9 +98,15 @@ class ContinuousScan {
   bool Next(ScanEvent* event);
 
   /// Current position: the partition/index of the next row to deliver.
+  /// After every run the index is stepped past pages the slice does not
+  /// own, so it always lies in an owned page (or is 0 before a pass's
+  /// first run), possibly at or past the frozen size. A completion
+  /// checkpoint stored at this index therefore names a row the next lap
+  /// delivers; one on an unowned page would never be revisited and its
+  /// query would never complete.
   uint32_t current_partition() const { return part_; }
   uint64_t current_index() const { return index_; }
-  /// Global tick of the next row to deliver.
+  /// Global tick of the next row to deliver (rows this slice delivered).
   uint64_t tick() const { return tick_; }
   /// Number of completed passes of partition p (i.e. lap counter).
   uint64_t partition_lap(uint32_t p) const { return laps_[p]; }
@@ -107,12 +133,16 @@ class ContinuousScan {
  private:
   /// Re-freezes partition sizes at a table lap boundary.
   void FreezeSizes();
+  /// Moves index_ to the first row of the next page this slice owns
+  /// (index_ itself when its page is owned).
+  void SkipUnownedPages();
   /// Advances part_ past empty partitions; wraps the table lap.
   /// Returns false if all partitions are empty.
   bool SkipEmptyPartitions();
 
   const Table& table_;
   Options opts_;
+  ScanSlice slice_;
   std::vector<uint64_t> frozen_sizes_;
   uint64_t frozen_total_ = 0;
   std::vector<uint64_t> laps_;

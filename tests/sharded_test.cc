@@ -1,8 +1,8 @@
-// Tests for the sharded CJOIN execution subsystem: ShardManager
-// hash-partitioning, cross-shard result equivalence against the
-// single-operator path (byte-identical at one shard, multiset-identical
-// at N), cancellation mid-lap on a sharded pool, update/snapshot
-// visibility across shards, runtime re-sharding, and concurrent
+// Tests for the sharded CJOIN execution subsystem: cross-shard result
+// equivalence against the single-operator path (byte-identical at one
+// shard, multiset-identical at N), completion checkpoints on page slices,
+// cancellation mid-lap on a sharded pool, update/snapshot visibility
+// across shards and re-shards, runtime re-sharding, and concurrent
 // registration/cancellation at shards in {1, 2, 4}.
 
 #include <atomic>
@@ -15,7 +15,7 @@
 
 #include "cjoin/sharded_operator.h"
 #include "engine/query_engine.h"
-#include "engine/shard_manager.h"
+#include "obs/metrics.h"
 #include "ssb/generator.h"
 #include "ssb/queries.h"
 #include "storage/sim_disk.h"
@@ -67,69 +67,12 @@ Result<ResultSet> RunCJoin(QueryEngine& engine, StarQuerySpec spec) {
   return ticket->Wait();
 }
 
-// --------------------------- ShardManager -----------------------------------
-
-TEST(ShardManagerTest, HashPartitionsEveryRowExactlyOnce) {
-  auto ts = MakeTinyStar(2000);
-  auto mgr = ShardManager::Make(*ts->star, 4);
-  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
-  EXPECT_EQ((*mgr)->num_shards(), 4u);
-  EXPECT_TRUE((*mgr)->replicated());
-  EXPECT_EQ((*mgr)->TotalShardRows(), 2000u);
-  // Hash placement is balanced enough that no shard is empty or hoards
-  // the table at this size.
-  for (size_t s = 0; s < 4; ++s) {
-    const uint64_t rows = (*mgr)->shard_star(s).fact().NumRows();
-    EXPECT_GT(rows, 100u) << "shard " << s;
-    EXPECT_LT(rows, 1500u) << "shard " << s;
-  }
-}
-
-TEST(ShardManagerTest, SingleShardIsPassThrough) {
-  auto ts = MakeTinyStar(100);
-  auto mgr = ShardManager::Make(*ts->star, 1);
-  ASSERT_TRUE(mgr.ok());
-  EXPECT_FALSE((*mgr)->replicated());
-  // No copy: the sole shard reads the source fact table itself.
-  EXPECT_EQ(&(*mgr)->shard_star(0).fact(), ts->sales.get());
-}
-
-TEST(ShardManagerTest, PreservesMvccHeaders) {
-  auto ts = MakeTinyStar(500);
-  // Delete some rows and commit an append before sharding.
-  const Schema& fs = ts->sales->schema();
-  for (uint64_t i = 0; i < 50; ++i) {
-    ASSERT_TRUE(ts->sales->MarkDeleted(RowId{0, i}, 7).ok());
-  }
-  auto mgr = ShardManager::Make(*ts->star, 3);
-  ASSERT_TRUE(mgr.ok());
-  // Visible-row count at snapshot 6 (before the delete) and at 7 must
-  // match the source on the union of shards.
-  for (SnapshotId snap : {SnapshotId{6}, SnapshotId{7}}) {
-    uint64_t source_visible = 0;
-    for (uint64_t i = 0; i < 500; ++i) {
-      if (ts->sales->Header(RowId{0, i})->VisibleAt(snap)) ++source_visible;
-    }
-    uint64_t shard_visible = 0;
-    for (size_t s = 0; s < 3; ++s) {
-      const Table& t = (*mgr)->shard_star(s).fact();
-      for (uint64_t i = 0; i < t.PartitionRows(0); ++i) {
-        if (t.Header(RowId{0, i})->VisibleAt(snap)) ++shard_visible;
-      }
-    }
-    EXPECT_EQ(shard_visible, source_visible) << "snapshot " << snap;
-  }
-  (void)fs;
-}
-
 // ------------------- Merge path vs single operator --------------------------
 
 // The merging collector at one shard must be byte-identical to the plain
 // single-operator path (same fold order, same finalization math).
 TEST(ShardedOperatorTest, MergePathByteIdenticalAtOneShard) {
   auto ts = MakeTinyStar(3000);
-  auto mgr = ShardManager::Make(*ts->star, 1);
-  ASSERT_TRUE(mgr.ok());
 
   CJoinOperator::Options op_opts;
   op_opts.max_concurrent_queries = 8;
@@ -142,7 +85,7 @@ TEST(ShardedOperatorTest, MergePathByteIdenticalAtOneShard) {
   ShardedCJoinOperator::Options sopts;
   sopts.op = op_opts;
   sopts.force_merge_path = true;  // exercise the collector at N=1
-  ShardedCJoinOperator sharded(*ts->star, (*mgr)->shard_stars(), sopts);
+  ShardedCJoinOperator sharded(*ts->star, 1, sopts);
   ASSERT_TRUE(sharded.Start().ok());
 
   for (StarQuerySpec spec : {CountStar(*ts), RegionGroup(*ts)}) {
@@ -232,6 +175,49 @@ TEST(ShardedEquivalenceTest, BatchedProbeByteIdenticalToScalarOnSsb) {
   }
 }
 
+// ----------------------- Checkpoints on page slices -------------------------
+
+// With 50-row runs inside 128-row pages, queries register mid-page and at
+// page ends, where a slice must already have stepped past the pages it
+// does not own. A completion checkpoint left on an unowned page is never
+// revisited: its query hangs (here: runs into its deadline) or fires late
+// and counts a checkpoint miss.
+TEST(ShardedCheckpointTest, QueriesRegisteredMidLapCompleteExactly) {
+  auto ts = MakeTinyStar(20000, 20, 6, /*fact_partitions=*/3);
+  const ResultSet ref = ReferenceEvaluate(*NormalizeSpec(CountStar(*ts)));
+  const obs::Counter* misses = obs::MetricsRegistry::Global().GetCounter(
+      "cjoin_checkpoint_misses_total",
+      "Completion checkpoints that fired past their exact stream position");
+
+  for (size_t shards : {size_t{2}, size_t{3}, size_t{4}}) {
+    QueryEngine::Options opts = EngineOptions(shards);
+    opts.cjoin.max_concurrent_queries = 64;
+    opts.cjoin.scan_run_rows = 50;
+    QueryEngine engine(opts);
+    ASSERT_TRUE(engine.RegisterStar("sales", *ts->star).ok());
+    const uint64_t misses_before = misses->Value();
+
+    std::vector<std::unique_ptr<QueryTicket>> tickets;
+    for (int i = 0; i < 60; ++i) {
+      QueryRequest req = QueryRequest::FromSpec(CountStar(*ts));
+      req.policy = RoutePolicy::kCJoin;
+      req.timeout = std::chrono::seconds(30);
+      auto t = engine.Execute(std::move(req));
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      tickets.push_back(std::move(*t));
+      std::this_thread::sleep_for(std::chrono::microseconds(150));
+    }
+    for (auto& t : tickets) {
+      auto rs = t->Wait();
+      ASSERT_TRUE(rs.ok()) << "shards=" << shards << ": "
+                           << rs.status().ToString();
+      EXPECT_TRUE(rs->SameContents(ref)) << "shards=" << shards;
+    }
+    EXPECT_EQ(misses->Value(), misses_before) << "shards=" << shards;
+    ExpectQuiescent(engine);
+  }
+}
+
 // --------------------------- Cancellation -----------------------------------
 
 TEST(ShardedCancelTest, CancelMidLapOnOneShardTerminatesTheQuery) {
@@ -290,55 +276,63 @@ TEST(ShardedCancelTest, DeadlineExpiresAcrossShards) {
 // --------------------- Updates & snapshot visibility -------------------------
 
 TEST(ShardedUpdateTest, SnapshotSeesIdenticalDataOnEveryShard) {
-  auto ts = MakeTinyStar(2000);
-  QueryEngine engine(EngineOptions(2));
-  ASSERT_TRUE(engine.RegisterStar("sales", *ts->star).ok());
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto ts = MakeTinyStar(2000);
+    QueryEngine engine(EngineOptions(shards));
+    ASSERT_TRUE(engine.RegisterStar("sales", *ts->star).ok());
 
-  auto count_at = [&](SnapshotId snap) -> int64_t {
-    StarQuerySpec spec = CountStar(*ts);
-    spec.snapshot = snap;
-    auto rs = RunCJoin(engine, spec);
-    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
-    return rs.ok() ? rs->rows[0][0].AsInt() : -1;
-  };
-  auto count_now = [&]() -> int64_t {
-    return count_at(kReadLatestSnapshot);
-  };
-  EXPECT_EQ(count_now(), 2000);
+    auto count_at = [&](SnapshotId snap) -> int64_t {
+      StarQuerySpec spec = CountStar(*ts);
+      spec.snapshot = snap;
+      auto rs = RunCJoin(engine, spec);
+      EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+      return rs.ok() ? rs->rows[0][0].AsInt() : -1;
+    };
+    auto count_now = [&]() -> int64_t {
+      return count_at(kReadLatestSnapshot);
+    };
+    EXPECT_EQ(count_now(), 2000);
 
-  // Delete rows with f_qty == 10 (200 of 2000); mirrored to both shards
-  // at one commit snapshot.
-  const Schema& fs = ts->sales->schema();
-  auto qty10 = MakeCompare(CmpOp::kEq, MakeColumnRef(fs, "f_qty").value(),
-                           MakeLiteral(Value(10)));
-  auto del_snap = engine.DeleteFacts("sales", qty10);
-  ASSERT_TRUE(del_snap.ok());
-  EXPECT_EQ(count_now(), 1800);
-  // A query registered at the pre-delete epoch reads the pre-delete data
-  // on every shard: the counts (shard-wise sums) reproduce it exactly.
-  EXPECT_EQ(count_at(*del_snap - 1), 2000);
+    // Delete rows with f_qty == 10 (200 of 2000) at one commit snapshot.
+    const Schema& fs = ts->sales->schema();
+    auto qty10 = MakeCompare(CmpOp::kEq, MakeColumnRef(fs, "f_qty").value(),
+                             MakeLiteral(Value(10)));
+    auto del_snap = engine.DeleteFacts("sales", qty10);
+    ASSERT_TRUE(del_snap.ok());
+    EXPECT_EQ(count_now(), 1800);
+    // A query registered at the pre-delete epoch reads the pre-delete data
+    // on every shard: the counts (shard-wise sums) reproduce it exactly.
+    EXPECT_EQ(count_at(*del_snap - 1), 2000);
 
-  // Appends route to their hash shard under one commit; the count (sum
-  // over both shards' laps) converges to include all of them.
-  std::vector<std::vector<uint8_t>> rows;
-  for (int i = 0; i < 7; ++i) {
-    std::vector<uint8_t> p(fs.row_size());
-    fs.SetInt32(p.data(), 0, i % 20 + 1);
-    fs.SetInt32(p.data(), 1, i % 6 + 1);
-    fs.SetInt32(p.data(), 2, 3);
-    fs.SetInt32(p.data(), 3, 50);
-    rows.push_back(std::move(p));
+    // Each appended row lands in one shard's page slice under one commit;
+    // the count (sum over the shards' laps) converges to include them.
+    std::vector<std::vector<uint8_t>> rows;
+    for (int i = 0; i < 7; ++i) {
+      std::vector<uint8_t> p(fs.row_size());
+      fs.SetInt32(p.data(), 0, i % 20 + 1);
+      fs.SetInt32(p.data(), 1, i % 6 + 1);
+      fs.SetInt32(p.data(), 2, 3);
+      fs.SetInt32(p.data(), 3, 50);
+      rows.push_back(std::move(p));
+    }
+    ASSERT_TRUE(engine.AppendFacts("sales", rows).ok());
+    int64_t n = 0;
+    for (int attempt = 0; attempt < 200; ++attempt) {
+      n = count_now();
+      if (n == 1807) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(n, 1807);
+    // The old snapshot still reads the pre-delete, pre-append universe.
+    EXPECT_EQ(count_at(*del_snap - 1), 2000);
+
+    // A re-shard restarts the pipelines over the same table: the deletes'
+    // xmax and the appends' xmin still decide what each snapshot sees.
+    ASSERT_TRUE(engine.SetShardCount("sales", 5 - shards).ok());
+    EXPECT_EQ(count_at(*del_snap - 1), 2000);
+    EXPECT_EQ(count_now(), 1807);
   }
-  ASSERT_TRUE(engine.AppendFacts("sales", rows).ok());
-  int64_t n = 0;
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    n = count_now();
-    if (n == 1807) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(n, 1807);
-  // The old snapshot still reads the pre-delete, pre-append universe.
-  EXPECT_EQ(count_at(*del_snap - 1), 2000);
 }
 
 // --------------------------- Re-sharding ------------------------------------

@@ -1,9 +1,11 @@
 // Unit tests for the storage engine: schemas/row layout, tables with MVCC
 // and partitions, the continuous scan (wrap-around, pass events, frozen
-// sizes), SimDisk, and table persistence.
+// sizes, page slices), SimDisk, and table persistence.
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -268,6 +270,131 @@ TEST(ContinuousScanTest, TickAdvancesMonotonically) {
     if (ev.kind != ScanEvent::Kind::kRows) continue;
     EXPECT_EQ(ev.first_tick, expected_tick);
     expected_tick += ev.count;
+  }
+}
+
+// ------------------------------ ScanSlice -----------------------------------
+
+// One table lap of `scan` over `slice`, from wherever it stands: the
+// values of the rows it delivers, in order, and the partitions whose pass
+// start and pass end it emits. After every run the scan position must lie
+// in a page the slice owns, where a completion checkpoint can be revisited.
+struct SliceLap {
+  std::vector<int64_t> values;
+  std::vector<uint32_t> pass_starts;
+  std::vector<uint32_t> pass_ends;
+};
+
+SliceLap ScanOneLap(const Table& t, ContinuousScan& scan, ScanSlice slice) {
+  SliceLap lap;
+  const uint64_t laps = scan.table_laps();
+  ScanEvent ev;
+  while (scan.table_laps() == laps) {
+    if (!scan.Next(&ev)) {
+      ADD_FAILURE() << "scan produced no event";
+      break;
+    }
+    switch (ev.kind) {
+      case ScanEvent::Kind::kPassStart:
+        lap.pass_starts.push_back(ev.partition);
+        break;
+      case ScanEvent::Kind::kPassEnd:
+        lap.pass_ends.push_back(ev.partition);
+        break;
+      case ScanEvent::Kind::kRows:
+        for (size_t i = 0; i < ev.count; ++i) {
+          lap.values.push_back(t.schema().GetInt64(
+              ev.base + i * t.row_stride() + sizeof(RowHeader), 0));
+        }
+        EXPECT_TRUE(slice.Owns(ev.partition,
+                               scan.current_index() / t.rows_per_page()))
+            << "position " << scan.current_index() << " of partition "
+            << ev.partition;
+        break;
+    }
+  }
+  return lap;
+}
+
+// 26 rows over 3 partitions (9, 9 and 8 rows) in 4-row pages: partitions 0
+// and 1 end in a 1-row tail page. Runs of 3 rows split every full page.
+Table MakeSliceTable() {
+  return MakeNumberedTable(26, /*partitions=*/3, /*rows_per_page=*/4);
+}
+constexpr ContinuousScan::Options kSliceRuns{.max_run_rows = 3};
+
+TEST(ScanSliceTest, SlicesCoverEveryRowOncePerLapInFixedOrder) {
+  Table t = MakeSliceTable();
+  std::vector<int64_t> want(26);
+  for (int64_t i = 0; i < 26; ++i) want[i] = i;
+  for (size_t n = 1; n <= 4; ++n) {
+    std::vector<int64_t> all;
+    for (size_t s = 0; s < n; ++s) {
+      const ScanSlice slice{s, n};
+      ContinuousScan scan(t, kSliceRuns, slice);
+      const SliceLap lap1 = ScanOneLap(t, scan, slice);
+      const SliceLap lap2 = ScanOneLap(t, scan, slice);
+      // §3.3.3 property 1 holds per slice: identical order every lap.
+      EXPECT_EQ(lap1.values, lap2.values) << "slice " << s << "/" << n;
+      // Every partition is bracketed, whether the slice owns pages of it
+      // or not.
+      EXPECT_EQ(lap1.pass_starts, (std::vector<uint32_t>{0, 1, 2}));
+      EXPECT_EQ(lap1.pass_ends, (std::vector<uint32_t>{0, 1, 2}));
+      all.insert(all.end(), lap1.values.begin(), lap1.values.end());
+    }
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(all, want) << "n=" << n;  // every row exactly once
+  }
+}
+
+TEST(ScanSliceTest, SliceWithoutPagesInAPartitionStillBracketsIt) {
+  Table t = MakeSliceTable();
+  // Slice 0 of 4 owns page 0 of partition 0 only: partition 1's pages go
+  // to slices 1-3, partition 2's to slices 2-3.
+  ContinuousScan scan(t, ContinuousScan::Options{}, ScanSlice{0, 4});
+  using K = ScanEvent::Kind;
+  std::vector<std::pair<K, uint32_t>> seq;
+  ScanEvent ev;
+  while (scan.table_laps() == 0) {
+    ASSERT_TRUE(scan.Next(&ev));
+    seq.emplace_back(ev.kind, ev.partition);
+    if (ev.kind == K::kRows) {
+      EXPECT_EQ(ev.count, 4u);
+    }
+  }
+  const std::vector<std::pair<K, uint32_t>> want = {
+      {K::kPassStart, 0}, {K::kRows, 0},      {K::kPassEnd, 0},
+      {K::kPassStart, 1}, {K::kPassEnd, 1},   {K::kPassStart, 2},
+      {K::kPassEnd, 2}};
+  EXPECT_EQ(seq, want);
+}
+
+TEST(ScanSliceTest, RowAppendedMidLapAppearsNextLapInOneSlice) {
+  for (size_t n = 1; n <= 4; ++n) {
+    Table t = MakeSliceTable();
+    std::vector<std::unique_ptr<ContinuousScan>> scans;
+    ScanEvent ev;
+    for (size_t s = 0; s < n; ++s) {
+      scans.push_back(
+          std::make_unique<ContinuousScan>(t, kSliceRuns, ScanSlice{s, n}));
+      ASSERT_TRUE(scans.back()->Next(&ev));  // every slice is mid-lap
+    }
+    // 1000 fills partition 0's tail page; 1001 opens a page of partition 2.
+    t.schema().SetInt64(t.AppendUninitialized(0), 0, 1000);
+    t.schema().SetInt64(t.AppendUninitialized(2), 0, 1001);
+
+    size_t seen_1000 = 0, seen_1001 = 0;
+    for (size_t s = 0; s < n; ++s) {
+      ContinuousScan& scan = *scans[s];
+      const SliceLap rest = ScanOneLap(t, scan, ScanSlice{s, n});
+      EXPECT_EQ(std::count(rest.values.begin(), rest.values.end(), 1000), 0);
+      EXPECT_EQ(std::count(rest.values.begin(), rest.values.end(), 1001), 0);
+      const SliceLap next = ScanOneLap(t, scan, ScanSlice{s, n});
+      seen_1000 += std::count(next.values.begin(), next.values.end(), 1000);
+      seen_1001 += std::count(next.values.begin(), next.values.end(), 1001);
+    }
+    EXPECT_EQ(seen_1000, 1u) << "n=" << n;
+    EXPECT_EQ(seen_1001, 1u) << "n=" << n;
   }
 }
 
