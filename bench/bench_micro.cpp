@@ -84,9 +84,14 @@ void BM_DimHashTableProbe(benchmark::State& state) {
   const size_t entries = static_cast<size_t>(state.range(0));
   DimensionHashTable ht(/*width_words=*/4, entries);
   std::vector<uint8_t> rows(entries);
+  std::vector<int64_t> keys(entries);
+  std::vector<const uint8_t*> row_ptrs(entries);
   for (size_t i = 0; i < entries; ++i) {
-    ht.InsertOrGet(static_cast<int64_t>(i * 3), &rows[i]);
+    keys[i] = static_cast<int64_t>(i * 3);
+    row_ptrs[i] = &rows[i];
   }
+  const std::vector<uint64_t> masks(entries * 4, 0);
+  ht.InsertOrMerge(keys.data(), row_ptrs.data(), masks.data(), entries);
   Rng rng(2);
   ReaderMutexLock lk(&ht.mutex());
   for (auto _ : state) {

@@ -321,18 +321,17 @@ void CJoinOperator::AdmitQueries(
   for (size_t d = 0; d < num_dims_; ++d) {
     DimensionHashTable& ht = *filters_[d]->table;
 
-    // Algorithm 1 lines 3-10, plus the id-reuse invariant restoration
-    // (DESIGN.md §5), for the whole batch at once: bit q of b_Dj and of
-    // every stored tuple must read as "selected or not referenced" for
-    // each batch query q before any fact tuple carries the bit. Bits of
-    // queries referencing D_j start at 0; the rest at 1.
+    // Algorithm 1 lines 3-10 for the whole batch at once: bit q of b_Dj
+    // is 0 for each batch query q that references D_j and 1 for the rest.
+    // Stored tuples need no pass: their bits record selections only, and
+    // the cleanup that retired q's previous holder cleared bit q in every
+    // entry (dim_hash_table.h).
     uint64_t unreferenced[kMaxWidthWords];
     bitops::Copy(unreferenced, batch_mask, width_);
     for (const DimLoad& l : loads[d]) {
       bitops::ClearBit(unreferenced, l.qid);
     }
     ht.AssignComplementBits(batch_mask, unreferenced);
-    ht.AssignBitsForAllEntries(batch_mask, unreferenced);
     if (loads[d].empty()) continue;
 
     // Algorithm 1 lines 11-16: one scan of D_j serves every batch query.
@@ -393,11 +392,10 @@ void CJoinOperator::CleanupQueries(const std::vector<uint32_t>& qids) {
   }
   if (done.empty()) return;
 
-  // Algorithm 2: complement bits revert to 1 ("does not reference") and
-  // dead tuples are collected. The finished queries' entry bits are left
-  // as they are: no fact tuple carries those ids any more, GC masks them
-  // out through manager_active_mask_, and admission rewrites every
-  // entry's bit before an id is reused.
+  // Algorithm 2: complement bits revert to 1 ("does not reference"), the
+  // finished queries' entry bits are cleared and dead tuples collected.
+  // The clearing must finish before the ids are released: admission
+  // relies on a reused id's bits starting at 0 in every entry.
   uint64_t batch_mask[kMaxWidthWords] = {};
   for (uint32_t qid : done) {
     bitops::SetBit(batch_mask, qid);
@@ -406,9 +404,7 @@ void CJoinOperator::CleanupQueries(const std::vector<uint32_t>& qids) {
   for (size_t d = 0; d < num_dims_; ++d) {
     DimensionHashTable& ht = *filters_[d]->table;
     ht.AssignComplementBits(batch_mask, batch_mask);
-    if (opts_.gc_dimension_tuples) {
-      ht.RemoveDeadEntries(manager_active_mask_);
-    }
+    ht.RemoveDeadEntries(manager_active_mask_);
   }
 
   {

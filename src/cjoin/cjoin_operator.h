@@ -88,10 +88,6 @@ class CJoinOperator {
     bool adaptive_ordering = true;
     std::chrono::milliseconds reorder_interval{50};
 
-    /// Garbage-collect dimension hash entries selected by no live query
-    /// after each query cleanup (Algorithm 2's GC).
-    bool gc_dimension_tuples = true;
-
     AggregatorFactory aggregator_factory;  // default: MakeHashAggregator
 
     /// Optional probe of the engine's current snapshot, used to bound
@@ -227,13 +223,14 @@ class CJoinOperator {
   /// installation, which the Preprocessor itself performs on
   /// RequestAdmission). Queries cancelled or expired while queued are
   /// resolved one by one. For the rest, each dimension gets one masked
-  /// bit pass, and each referenced dimension one table scan (every row
-  /// tested against every batch query at that query's own snapshot) and
-  /// one InsertOrMerge call. Queries then go to the Preprocessor in pop
-  /// order.
+  /// complement update, and each referenced dimension one table scan
+  /// (every row tested against every batch query at that query's own
+  /// snapshot) and one InsertOrMerge call. Queries then go to the
+  /// Preprocessor in pop order.
   void AdmitQueries(const std::vector<std::shared_ptr<QueryRuntime>>& batch);
   /// Algorithm 2 for a batch of finished queries: one complement update
-  /// and one GC pass per dimension, and one id release for the batch.
+  /// and one RemoveDeadEntries pass per dimension (which also clears the
+  /// finished ids' entry bits), then one id release for the batch.
   void CleanupQueries(const std::vector<uint32_t>& qids);
   void MaybeReorderFilters();
 

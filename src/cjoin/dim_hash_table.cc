@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <vector>
 
 #ifdef __linux__
 #include <sys/mman.h>
@@ -84,23 +85,15 @@ void DimensionHashTable::AssignComplementBits(const uint64_t* mask,
 
 const DimensionHashTable::Entry* DimensionHashTable::ProbeLocked(
     int64_t key) const {
-  const size_t mask = Mask();
   const uint64_t h = Mix64(static_cast<uint64_t>(key));
-  const uint64_t want = TagFor(h);
-  size_t idx = h & mask;
-  for (;;) {
-    const uint64_t tag = tags_[idx];
-    if (tag == 0) return nullptr;
-    if (tag == want && slots_[idx].key == key) return &slots_[idx];
-    idx = (idx + 1) & mask;
-  }
+  return ProbeChainFrom(h & Mask(), TagFor(h), key);
 }
 
 const DimensionHashTable::Entry* DimensionHashTable::ProbeChainFrom(
     size_t idx, uint64_t want, int64_t key) const {
   const size_t mask = Mask();
   for (;;) {
-    const uint64_t tag = tags_[idx];
+    const uint64_t tag = LoadTag(tags_.get(), idx);
     if (tag == 0) return nullptr;
     if (tag == want && slots_[idx].key == key) return &slots_[idx];
     idx = (idx + 1) & mask;
@@ -157,7 +150,7 @@ void DimensionHashTable::ProbeBatchLocked(const int64_t* keys,
     for (size_t i = 0; i < m; ++i) {
       size_t j = idx[i];
       for (;;) {
-        const uint64_t tag = tags_[j];
+        const uint64_t tag = LoadTag(tags, j);
         if (tag == 0) {
           idx[i] = SIZE_MAX;  // definite miss
           break;
@@ -195,41 +188,44 @@ void DimensionHashTable::ProbeBatchLocked(const int64_t* keys,
   }
 }
 
-DimensionHashTable::Entry* DimensionHashTable::InsertOneLocked(
-    int64_t key, const uint8_t* row) {
-  const size_t mask = Mask();
+void DimensionHashTable::MergeOneLocked(int64_t key, const uint8_t* row,
+                                        const uint64_t* mask) {
+  // Tags are read plainly here: this thread is their only writer.
+  const size_t slot_mask = Mask();
   const uint64_t h = Mix64(static_cast<uint64_t>(key));
   const uint64_t want = TagFor(h);
-  size_t idx = h & mask;
+  size_t idx = h & slot_mask;
   for (;;) {
     const uint64_t tag = tags_[idx];
     if (tag == 0) break;
-    if (tag == want && slots_[idx].key == key) return &slots_[idx];
-    idx = (idx + 1) & mask;
+    if (tag == want && slots_[idx].key == key) {
+      // Probes may be reading these words: a relaxed load and store per
+      // word, which single-writer ORs need no more than.
+      bitops::AssignMaskedWords(slots_[idx].bits, mask, mask, width_);
+      return;
+    }
+    idx = (idx + 1) & slot_mask;
   }
-  tags_[idx] = want;
+  // An empty slot is invisible to probes until its tag is published, so
+  // the entry is written plainly, then released through the tag.
   Entry& e = slots_[idx];
   e.key = key;
   e.row = row;
-  e.used = true;
-  // New tuples start as "b_Dj" — not selected by any query referencing
-  // D_j, implicitly selected by every query that does not reference it.
-  for (size_t w = 0; w < width_; ++w) {
-    e.bits[w] = bitops::AtomicLoadWord(complement_.get(), w);
-  }
-  ++size_;
-  return &e;
+  bitops::Copy(e.bits, mask, width_);
+  std::atomic_ref<uint64_t>(tags_[idx]).store(want,
+                                              std::memory_order_release);
+  size_.store(size_.load(std::memory_order_relaxed) + 1,
+              std::memory_order_relaxed);
 }
 
 void DimensionHashTable::ReserveLocked(size_t extra) {
-  while ((size_.load(std::memory_order_relaxed) + extra) * 10 > cap_ * 7) {
-    RehashLocked();
-  }
+  while (!FitsLocked(extra)) RehashLocked();
 }
 
 void DimensionHashTable::RehashLocked() {
   const size_t old_cap = cap_;
   SlotArray old_slots = std::move(slots_);
+  AlignedWordArray old_tags = std::move(tags_);
   std::unique_ptr<uint64_t[]> old_words = std::move(words_);
 
   cap_ = old_cap * 2;
@@ -240,117 +236,105 @@ void DimensionHashTable::RehashLocked() {
 
   const size_t mask = cap_ - 1;
   for (size_t i = 0; i < old_cap; ++i) {
-    const Entry& e = old_slots[i];
-    if (!e.used) continue;
-    const uint64_t h = Mix64(static_cast<uint64_t>(e.key));
-    size_t idx = h & mask;
+    const uint64_t tag = old_tags[i];
+    if (tag == 0) continue;
+    size_t idx = tag & mask;
     while (tags_[idx] != 0) idx = (idx + 1) & mask;
-    tags_[idx] = TagFor(h);
+    tags_[idx] = tag;
+    const Entry& src = old_slots[i];
     Entry& dst = slots_[idx];
-    dst.key = e.key;
-    dst.row = e.row;
-    dst.used = true;
-    bitops::Copy(dst.bits, e.bits, width_);
+    dst.key = src.key;
+    dst.row = src.row;
+    bitops::Copy(dst.bits, src.bits, width_);
   }
-}
-
-DimensionHashTable::Entry* DimensionHashTable::InsertOrGet(
-    int64_t key, const uint8_t* row) {
-  WriterMutexLock lk(&mu_);
-  ReserveLocked(1);
-  return InsertOneLocked(key, row);
 }
 
 void DimensionHashTable::InsertOrMerge(const int64_t* keys,
                                        const uint8_t* const* rows,
                                        const uint64_t* masks, size_t n) {
-  WriterMutexLock lk(&mu_);
-  while (n > 0) {
-    const size_t m = std::min(n, kMaxBatch);
-    // Worst case every key of the chunk is new. A rehash here moves the
-    // entries of earlier chunks, which is fine: none is referenced past
-    // its own merge below.
-    ReserveLocked(m);
-    const size_t cur_mask = Mask();
-    for (size_t i = 0; i < m; ++i) {
-      const uint64_t h = Mix64(static_cast<uint64_t>(keys[i]));
-      __builtin_prefetch(&tags_[h & cur_mask], /*rw=*/1, /*locality=*/3);
+  // Count the keys not yet stored, unless even all n fit. Only this
+  // thread inserts, so the count still holds once the lock is retaken.
+  size_t absent = n;
+  bool fits;
+  {
+    ReaderMutexLock lk(&mu_);
+    if (!FitsLocked(n)) {
+      const Entry* found[kMaxBatch];
+      absent = 0;
+      for (size_t off = 0; off < n; off += kMaxBatch) {
+        const size_t m = std::min(n - off, kMaxBatch);
+        ProbeBatchLocked(keys + off, found, m);
+        for (size_t i = 0; i < m; ++i) absent += found[i] == nullptr;
+      }
     }
+    fits = FitsLocked(absent);
+  }
+  if (!fits) {
+    WriterMutexLock lk(&mu_);
+    ReserveLocked(absent);
+  }
+
+  ReaderMutexLock lk(&mu_);
+  const size_t slot_mask = Mask();
+  for (size_t off = 0; off < n; off += kMaxBatch) {
+    const size_t m = std::min(n - off, kMaxBatch);
     for (size_t i = 0; i < m; ++i) {
-      // The exclusive lock keeps every reader out, so plain ORs suffice.
-      bitops::OrInto(InsertOneLocked(keys[i], rows[i])->bits,
-                     masks + i * width_, width_);
+      const uint64_t h = Mix64(static_cast<uint64_t>(keys[off + i]));
+      __builtin_prefetch(&tags_[h & slot_mask], /*rw=*/1, /*locality=*/3);
     }
-    keys += m;
-    rows += m;
-    masks += m * width_;
-    n -= m;
+    for (size_t i = off; i < off + m; ++i) {
+      MergeOneLocked(keys[i], rows[i], masks + i * width_);
+    }
   }
 }
 
-void DimensionHashTable::AssignBitsForAllEntries(const uint64_t* mask,
-                                                 const uint64_t* values) {
-  ReaderMutexLock lk(&mu_);
-  for (size_t i = 0; i < cap_; ++i) {
-    Entry& e = slots_[i];
-    if (e.used) bitops::AssignMaskedWords(e.bits, mask, values, width_);
+void DimensionHashTable::EraseLocked(int64_t key) {
+  const size_t mask = Mask();
+  const uint64_t h = Mix64(static_cast<uint64_t>(key));
+  const uint64_t want = TagFor(h);
+  size_t hole = h & mask;
+  while (tags_[hole] != want || slots_[hole].key != key) {
+    assert(tags_[hole] != 0 && "EraseLocked: key not stored");
+    hole = (hole + 1) & mask;
   }
+  for (size_t j = (hole + 1) & mask; tags_[j] != 0; j = (j + 1) & mask) {
+    // The entry at j stays iff its home lies cyclically in (hole, j]:
+    // a probe for it starts past the hole and never crosses it.
+    const size_t home = tags_[j] & mask;
+    const bool stays =
+        hole < j ? hole < home && home <= j : hole < home || home <= j;
+    if (stays) continue;
+    tags_[hole] = tags_[j];
+    Entry& dst = slots_[hole];
+    const Entry& src = slots_[j];
+    dst.key = src.key;
+    dst.row = src.row;
+    bitops::Copy(dst.bits, src.bits, width_);
+    hole = j;
+  }
+  tags_[hole] = 0;
 }
 
 size_t DimensionHashTable::RemoveDeadEntries(const uint64_t* active_mask) {
-  WriterMutexLock lk(&mu_);
-  size_t removed = 0;
-  // Collect surviving entries, then rebuild in place (linear probing does
-  // not support in-place deletion without tombstones). The staging
-  // buffers are table-owned scratch: cleared, not freed, between passes,
-  // so steady-state GC on the Pipeline Manager thread does not allocate.
-  gc_survivors_.clear();
-  gc_survivor_bits_.clear();
-  gc_survivors_.reserve(size_);
-  gc_survivor_bits_.reserve(size_ * width_);
-  for (size_t s = 0; s < cap_; ++s) {
-    const Entry& e = slots_[s];
-    if (!e.used) continue;
-    bool dead = true;
-    for (size_t w = 0; w < width_; ++w) {
-      const uint64_t relevant = e.bits[w] & active_mask[w];
-      const uint64_t comp =
-          bitops::AtomicLoadWord(complement_.get(), w) & active_mask[w];
-      if (relevant != comp) {
-        dead = false;
-        break;
+  std::vector<int64_t> dead;
+  {
+    // Tags are read plainly here: this thread is their only writer.
+    ReaderMutexLock lk(&mu_);
+    for (size_t i = 0; i < cap_; ++i) {
+      if (tags_[i] == 0) continue;
+      const Entry& e = slots_[i];
+      if (!bitops::RetainMaskedWords(e.bits, active_mask, width_)) {
+        dead.push_back(e.key);
       }
     }
-    if (dead) {
-      ++removed;
-      continue;
-    }
-    gc_survivors_.push_back(e);
-    for (size_t w = 0; w < width_; ++w) {
-      gc_survivor_bits_.push_back(e.bits[w]);
-    }
   }
-  if (removed == 0) return 0;
+  if (dead.empty()) return 0;
 
-  for (size_t s = 0; s < cap_; ++s) {
-    slots_[s].used = false;
-  }
-  std::memset(tags_.get(), 0, cap_ * sizeof(uint64_t));
-  const size_t mask = Mask();
-  for (size_t i = 0; i < gc_survivors_.size(); ++i) {
-    const Entry& src = gc_survivors_[i];
-    const uint64_t h = Mix64(static_cast<uint64_t>(src.key));
-    size_t idx = h & mask;
-    while (tags_[idx] != 0) idx = (idx + 1) & mask;
-    tags_[idx] = TagFor(h);
-    Entry& dst = slots_[idx];
-    dst.key = src.key;
-    dst.row = src.row;
-    dst.used = true;
-    bitops::Copy(dst.bits, &gc_survivor_bits_[i * width_], width_);
-  }
-  size_ = gc_survivors_.size();
-  return removed;
+  WriterMutexLock lk(&mu_);
+  for (int64_t key : dead) EraseLocked(key);
+  size_.store(size_.load(std::memory_order_relaxed) - dead.size(),
+              std::memory_order_relaxed);
+  return dead.size();
 }
 
 }  // namespace cjoin

@@ -1,25 +1,28 @@
 // Dimension hash tables with query bit-vectors (paper §3.2.1).
 //
 // H_Dj stores the union of dimension-j tuples selected by at least one
-// registered query. Each stored tuple carries a bit-vector b_delta
-// (bit i set iff query i selects the tuple, or does not reference D_j at
-// all), and the table carries one complementary bitmap b_Dj (bit i set
-// iff query i does not reference D_j) — the filtering vector of any tuple
-// NOT present in the table.
+// registered query. Each stored tuple carries a bit-vector b_delta of
+// selections only (bit i set iff query i references D_j and selects the
+// tuple), and the table carries one complementary bitmap b_Dj (bit i set
+// iff query i does not reference D_j). A probe's filtering vector is
+// b_delta | b_Dj on a hit and b_Dj alone on a miss (AndFilterInto), which
+// is the paper's b_delta: a query that ignores D_j passes every tuple.
+// Keeping b_Dj out of the entries means admission never passes over the
+// stored entries: it writes b_Dj and the rows its queries select.
 //
 // Layout (cache-line conscious, after DRAMHiT's simple_kht): the probe
 // path never touches the wide Entry records until a likely hit is found.
 // Occupancy and key identity live in a dense out-of-line *tag* array —
 // one 64-bit tag per slot, 8 tags per 64-byte-aligned cache line (the
 // "slot group") — so one prefetched line resolves up to 8 linear-probe
-// steps. A tag is the slot key's full Mix64 hash with bit 0 forced on
-// (0 = empty slot), so tag equality is a near-certain key match and a
-// miss never loads an Entry at all. Entries are 64-byte aligned — one
-// per cache line — with the bit-vector words stored inline in the same
-// line when the width fits (<= 4 words = 256 concurrent queries, the
-// engine default), so a hit costs exactly one data line: key, row
-// pointer, and filter vector arrive together. Wider tables fall back to
-// an out-of-line words arena, indexed by slot.
+// steps. A tag is the slot key's full Mix64 hash with bit 63 forced on
+// (0 = empty slot), so tag equality is a near-certain key match, a miss
+// never loads an Entry at all, and `tag & mask` is the key's home slot.
+// Entries are 64-byte aligned — one per cache line — with the bit-vector
+// words stored inline in the same line when the width fits (<= 4 words =
+// 256 concurrent queries, the engine default), so a hit costs exactly
+// one data line: key, row pointer, and filter vector arrive together.
+// Wider tables fall back to an out-of-line words arena, indexed by slot.
 //
 // Probing is batched: ProbeBatchLocked() hashes a whole batch of keys
 // first, issues a software prefetch for every target tag line, then
@@ -27,26 +30,33 @@
 // instead of serializing one full miss latency per fact tuple. Admission
 // inserts batch the same way through InsertOrMerge().
 //
-// Admission and cleanup work on a whole batch of query ids at once: the
-// Pipeline Manager passes a word mask of the batch's ids, so one pass
-// over the table (AssignBitsForAllEntries) or one insert call
-// (InsertOrMerge, each key carrying the batch's selection mask) serves
-// every query in the batch.
+// Admission and cleanup work on a whole batch of query ids at once: one
+// InsertOrMerge call per dimension (each key carrying the mask of the
+// batch queries that selected it) admits the batch, and one
+// RemoveDeadEntries call per dimension retires one.
 //
 // Concurrency model (paper §3.3.1: registration proceeds in the Pipeline
 // Manager thread "in parallel with the processing of fact tuples"):
 //   * Filter workers take the shared lock for the duration of a probe
-//     batch and read entry bit-words and b_Dj with relaxed atomic loads.
-//   * The Pipeline Manager is the single writer of every bit-word, entry
-//     and b_Dj alike. With no second writer, its masked updates are a
-//     relaxed load plus a relaxed store (bitops::AssignMaskedWords), not
-//     atomic RMWs. Bit-only passes run under the shared lock, beside the
-//     probes; structural changes (insert, rehash, GC) take the exclusive
-//     lock, once per dimension per admission batch (InsertOrMerge) and
-//     once per dimension per cleanup batch (RemoveDeadEntries).
-// Mid-flight bit flips are harmless: the Preprocessor keeps the new
+//     batch. They load tags with acquire and read entry bit-words and
+//     b_Dj with relaxed atomic loads.
+//   * The Pipeline Manager is the single writer of every tag, entry and
+//     b_Dj word. It inserts and merges under the shared lock, beside the
+//     probes: a new entry's key, row and bits are written in full, then
+//     the entry is published by a release store of its tag, so a probe
+//     that sees the tag sees the whole entry. Bit updates are a relaxed
+//     load plus a relaxed store (bitops::AssignMaskedWords,
+//     RetainMaskedWords), not atomic RMWs.
+//   * The exclusive lock is taken for two structural steps only: a
+//     growth rehash (when an InsertOrMerge call's new keys do not fit
+//     under the load-factor bound) and the deletion step of
+//     RemoveDeadEntries (backward-shift deletion of the keys its shared
+//     pass found dead).
+// Mid-flight bit changes are harmless: the Preprocessor keeps a new
 // query's bit at 0 in every fact tuple until registration completes, and
-// a finished query's results were already emitted before cleanup starts.
+// a finished query's results were emitted before cleanup clears its bits.
+// Cleanup must clear them before the id is reused: a new holder of the
+// id starts from all-zero selections.
 
 #ifndef CJOIN_CJOIN_DIM_HASH_TABLE_H_
 #define CJOIN_CJOIN_DIM_HASH_TABLE_H_
@@ -55,7 +65,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
-#include <vector>
 
 #include "common/bitvector.h"
 #include "common/mutex.h"
@@ -79,12 +88,13 @@ class DimensionHashTable {
   /// entry's own inline words or into the out-of-line arena (wider
   /// tables). Pointers to entries are invalidated by structural changes —
   /// callers only hold them while holding at least the shared lock.
-  /// 64-byte aligned: one entry, one cache line.
+  /// 64-byte aligned: one entry, one cache line. Whether a slot holds an
+  /// entry is told by its tag alone.
   struct alignas(64) Entry {
     int64_t key = 0;
     const uint8_t* row = nullptr;
-    bool used = false;
-    /// The filter bit-vector (b_delta). Always read through this pointer.
+    /// The selection bit-vector b_delta. Always read through this pointer,
+    /// with relaxed atomic loads.
     uint64_t* bits = nullptr;
     uint64_t inline_words[kInlineWords] = {};
   };
@@ -98,8 +108,9 @@ class DimensionHashTable {
   /// the Pipeline Manager mutates the table), hence atomic.
   size_t size() const { return size_.load(std::memory_order_relaxed); }
 
-  /// Lock taken shared by probing filters, exclusive by structure-changing
-  /// admission steps. RETURN_CAPABILITY lets the analysis unify a caller's
+  /// Lock taken shared by probing filters and by the Pipeline Manager's
+  /// inserts and bit passes, exclusive by growth and deletion.
+  /// RETURN_CAPABILITY lets the analysis unify a caller's
   /// `ReaderMutexLock lk(&table->mutex())` with this table's mu_, so the
   /// ProbeLocked/ProbeBatchLocked REQUIRES_SHARED contracts check across
   /// translation units.
@@ -129,45 +140,41 @@ class DimensionHashTable {
   void ProbeBatchLocked(const int64_t* keys, const Entry** out, size_t n) const
       REQUIRES_SHARED(mu_);
 
+  /// ANDs the filtering vector of a probe result into `tuple_bits`
+  /// (width_words() words): e->bits | b_Dj for a hit, b_Dj for a miss
+  /// (e == nullptr). Returns false when no bit of `tuple_bits` is left.
+  /// `e` must come from a probe under the shared lock still held.
+  bool AndFilterInto(uint64_t* tuple_bits, const Entry* e) const {
+    const uint64_t* comp = complement_.get();
+    if (e == nullptr) return bitops::AndIntoAtomicSrc(tuple_bits, comp, width_);
+    uint64_t any = 0;
+    for (size_t w = 0; w < width_; ++w) {
+      tuple_bits[w] &= bitops::AtomicLoadWord(e->bits, w) |
+                       bitops::AtomicLoadWord(comp, w);
+      any |= tuple_bits[w];
+    }
+    return any != 0;
+  }
+
   // --- Admission / cleanup path (Pipeline Manager thread) -----------------
 
-  /// Inserts `key` if absent, initializing the new entry's bits to the
-  /// current complement b_Dj (a tuple not previously stored behaves as
-  /// "not selected" for queries that reference D_j and "selected" for
-  /// queries that don't — exactly b_Dj, paper §3.3.1). Takes the
-  /// exclusive lock internally. Returns the entry (existing or new).
-  Entry* InsertOrGet(int64_t key, const uint8_t* row) EXCLUDES(mu_);
-
-  /// Batched insert-and-select: for each i < n, inserts keys[i] as
-  /// InsertOrGet would (rows[i] attached on first insert, bits starting
-  /// at b_Dj) and ORs the width_words() words at masks + i *
-  /// width_words() into its bit-vector. A key repeated within the call
-  /// accumulates every mask; the first row wins. One exclusive-lock
-  /// acquisition for the whole call, with the hash-then-prefetch schedule
-  /// of ProbeBatchLocked. Capacity is reserved per kMaxBatch chunk: a
-  /// rehash between chunks is harmless because no entry pointer leaves
-  /// the call.
+  /// Batched insert-and-select: for each i < n, inserts keys[i] if absent
+  /// (rows[i] attached, bits all clear) and ORs the width_words() words
+  /// at masks + i * width_words() into its bit-vector. A key repeated
+  /// within the call accumulates every mask; the first row wins. Runs
+  /// under the shared lock, beside the probes; when the call's new keys
+  /// would not fit under the load-factor bound, the table first grows
+  /// under the exclusive lock.
   void InsertOrMerge(const int64_t* keys, const uint8_t* const* rows,
                      const uint64_t* masks, size_t n) EXCLUDES(mu_);
 
-  /// For every stored entry, sets the bits selected by `mask` to those of
-  /// `values` (as AssignComplementBits does for b_Dj). Shared lock taken
-  /// internally, so probes proceed meanwhile. Restores the bit-vector
-  /// invariant for a batch of (re)assigned query ids in one pass — see
-  /// DESIGN.md §5.
-  void AssignBitsForAllEntries(const uint64_t* mask, const uint64_t* values)
-      EXCLUDES(mu_);
-
-  /// Removes entries whose bit-vectors are all-zero across `active_words`
-  /// mask (i.e. selected by no live query and irrelevant to all).
-  /// Exclusive lock taken internally. Returns entries removed.
-  ///
-  /// An entry is dead iff (bits & active_mask) == (complement &
-  /// active_mask): its vector carries no information beyond b_Dj, so a
-  /// probe miss yields the same filtering vector (Algorithm 2's garbage
-  /// collection, generalized). Survivors are staged in table-owned
-  /// scratch buffers, so periodic GC passes stop allocating once the
-  /// scratch has grown to the table's working size.
+  /// Algorithm 2's garbage collection: clears every entry bit outside
+  /// `active_mask` (the ids of registered queries; width_words() words)
+  /// and removes the entries left with no bit set — tuples no registered
+  /// query selects, whose filtering vector is b_Dj, the same as a miss.
+  /// The bit pass runs under the shared lock; the exclusive lock is held
+  /// only to delete the dead keys by backward-shift deletion. Returns
+  /// entries removed.
   size_t RemoveDeadEntries(const uint64_t* active_mask) EXCLUDES(mu_);
 
   /// Visits every entry under the shared lock: fn(const Entry&).
@@ -175,28 +182,42 @@ class DimensionHashTable {
   void ForEachEntry(Fn&& fn) const EXCLUDES(mu_) {
     ReaderMutexLock lk(&mu_);
     for (size_t i = 0; i < cap_; ++i) {
-      if (slots_[i].used) fn(slots_[i]);
+      if (LoadTag(tags_.get(), i) != 0) fn(slots_[i]);
     }
   }
 
  private:
-  /// Tag for an occupied slot holding `hash`: full hash with bit 0 forced
-  /// on so no occupied tag is ever 0 (the empty marker). Bit 0 does not
-  /// feed the slot index beyond the hash's own low bit, and key identity
-  /// is always confirmed against Entry::key on a tag match.
-  static uint64_t TagFor(uint64_t hash) { return hash | 1; }
+  /// Tag for an occupied slot holding `hash`: the full hash with bit 63
+  /// forced on, so no occupied tag is ever 0 (the empty marker). No slot
+  /// index uses bit 63, so `tag & Mask()` is the entry's home slot, and
+  /// key identity is always confirmed against Entry::key on a tag match.
+  static uint64_t TagFor(uint64_t hash) { return hash | (uint64_t{1} << 63); }
+  /// Probe-side tag load: acquire, pairing with the release store that
+  /// publishes an entry inserted under the shared lock.
+  static uint64_t LoadTag(const uint64_t* tags, size_t i) {
+    return std::atomic_ref<const uint64_t>(tags[i]).load(
+        std::memory_order_acquire);
+  }
 
   size_t Mask() const REQUIRES_SHARED(mu_) { return cap_ - 1; }
   void RehashLocked() REQUIRES(mu_);
-  /// Scalar insert body (caller holds the exclusive lock, capacity
-  /// already ensured).
-  Entry* InsertOneLocked(int64_t key, const uint8_t* row) REQUIRES(mu_);
+  /// Finds or inserts `key` and ORs `mask` into its bits; capacity already
+  /// ensured. Pipeline Manager only (the single writer), shared lock held.
+  void MergeOneLocked(int64_t key, const uint8_t* row, const uint64_t* mask)
+      REQUIRES_SHARED(mu_);
+  /// Deletes stored `key` by backward shift (Knuth's Algorithm R): each
+  /// later entry of the cluster moves into the hole unless its home slot
+  /// lies cyclically in (hole, its slot], so no tombstone is left.
+  void EraseLocked(int64_t key) REQUIRES(mu_);
   /// Continues a probe chain at `idx` looking for (tag, key); used by the
   /// batched probe to resolve the rare full-64-bit tag collision.
   const Entry* ProbeChainFrom(size_t idx, uint64_t want, int64_t key) const
       REQUIRES_SHARED(mu_);
   /// Grows until `extra` more entries fit under the load-factor bound.
   void ReserveLocked(size_t extra) REQUIRES(mu_);
+  bool FitsLocked(size_t extra) const REQUIRES_SHARED(mu_) {
+    return (size_.load(std::memory_order_relaxed) + extra) * 10 <= cap_ * 7;
+  }
 
   struct FreeDeleter {
     void operator()(void* p) const { std::free(p); }
@@ -225,8 +246,8 @@ class DimensionHashTable {
   /// elements (x width_ for words_).
   size_t cap_ GUARDED_BY(mu_) = 0;
   SlotArray slots_ GUARDED_BY(mu_);
-  /// Probe-path occupancy/identity tags: tags_[i] == 0 iff slot i is
-  /// empty, else TagFor(Mix64(slots_[i].key)). 8 tags per 64B line.
+  /// Occupancy/identity tags: tags_[i] == 0 iff slot i is empty, else
+  /// TagFor(Mix64(slots_[i].key)). 8 tags per 64B line.
   AlignedWordArray tags_ GUARDED_BY(mu_);
   /// Bit-vector arena for widths beyond kInlineWords: one `width_` word
   /// block per slot, same index as slots_. Null when bits are inline.
@@ -234,12 +255,8 @@ class DimensionHashTable {
   /// Not guarded: written by the Pipeline Manager alone (relaxed stores),
   /// read with relaxed atomic loads at any lock level.
   std::unique_ptr<uint64_t[]> complement_;
-  /// Mutated under the exclusive lock; read lock-free by size().
+  /// Written by the Pipeline Manager alone; read lock-free by size().
   std::atomic<size_t> size_{0};
-  /// GC scratch (RemoveDeadEntries staging); retained across passes so
-  /// the Pipeline Manager's periodic GC stops heap-allocating.
-  std::vector<Entry> gc_survivors_ GUARDED_BY(mu_);
-  std::vector<uint64_t> gc_survivor_bits_ GUARDED_BY(mu_);
 };
 
 }  // namespace cjoin

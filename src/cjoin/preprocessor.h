@@ -102,7 +102,7 @@ class Preprocessor {
   /// Per-registered-query bookkeeping.
   struct ActiveQuery {
     std::shared_ptr<QueryRuntime> runtime;
-    // Completion checkpoint (see DESIGN.md and §3.3.2): either "revisit
+    // Completion checkpoint (paper §3.3.2): either "revisit
     // index X of partition P in pass L" or "end of pass L of partition P".
     enum class CkKind { kRevisitIndex, kPassEnd, kImmediate };
     CkKind ck_kind = CkKind::kImmediate;

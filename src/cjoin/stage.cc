@@ -97,8 +97,7 @@ size_t Stage::FilterBatch(ColumnBlock* block, const FilterOrder& filters) {
     // ANDs the probe result into tuple i; false when the tuple is dead.
     auto apply = [&](size_t i, const DimensionHashTable::Entry* entry) {
       if (entry != nullptr) block->dim_rows(i)[dim_index] = entry->row;
-      return bitops::AndIntoAtomicSrc(
-          block->bits(i), entry != nullptr ? entry->bits : comp, width_);
+      return table->AndFilterInto(block->bits(i), entry);
     };
     // Survivors are copied down to the write cursor `out` (always <= the
     // tuple being read); a dead tuple is simply not copied.

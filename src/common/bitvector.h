@@ -68,6 +68,23 @@ inline void AssignMaskedWords(uint64_t* words, const uint64_t* mask,
   }
 }
 
+/// Clears every bit of `words` outside `mask`; true iff a bit is left.
+/// A word is stored (relaxed atomic) only when it changes, so readers'
+/// cached copies of unchanged words stay valid. Same single-writer
+/// contract as AssignMaskedWords.
+inline bool RetainMaskedWords(uint64_t* words, const uint64_t* mask,
+                              size_t nwords) {
+  uint64_t any = 0;
+  for (size_t i = 0; i < nwords; ++i) {
+    std::atomic_ref<uint64_t> w(words[i]);
+    const uint64_t old = w.load(std::memory_order_relaxed);
+    const uint64_t kept = old & mask[i];
+    if (kept != old) w.store(kept, std::memory_order_relaxed);
+    any |= kept;
+  }
+  return any != 0;
+}
+
 inline void Fill(uint64_t* words, size_t nwords, uint64_t value) {
   for (size_t i = 0; i < nwords; ++i) words[i] = value;
 }

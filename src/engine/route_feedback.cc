@@ -103,12 +103,12 @@ void RouteCalibrator::PublishLocked() {
   packed[2 * kModelWords] = fresh.decays;
 
   // Seqlock publish: odd while writing. Writers are already serialized
-  // by mu_; the release fence pairs with the reader's acquire fence.
+  // by mu_. Each word is a release store, so a reader whose acquire load
+  // sees it also sees the odd sequence stored before it.
   const uint32_t seq = seq_.load(std::memory_order_relaxed);
   seq_.store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   for (size_t i = 0; i < kSnapWords; ++i) {
-    words_[i].store(packed[i], std::memory_order_relaxed);
+    words_[i].store(packed[i], std::memory_order_release);
   }
   seq_.store(seq + 2, std::memory_order_release);
 }
@@ -169,10 +169,11 @@ CalibrationSnapshot RouteCalibrator::Snapshot() const {
   for (;;) {
     const uint32_t before = seq_.load(std::memory_order_acquire);
     if (before & 1u) continue;  // writer in progress
+    // Acquire loads keep the re-check below after every word load, and
+    // make it see the odd sequence of any writer whose word was read.
     for (size_t i = 0; i < kSnapWords; ++i) {
-      packed[i] = words_[i].load(std::memory_order_relaxed);
+      packed[i] = words_[i].load(std::memory_order_acquire);
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (seq_.load(std::memory_order_relaxed) == before) break;
   }
   CalibrationSnapshot copy;

@@ -182,13 +182,14 @@ class RouteCalibrator {
 
   /// Seqlock-published snapshot: odd sequence while a writer mutates,
   /// readers retry until they copy under a stable even sequence. The
-  /// payload is an array of relaxed atomic words (doubles bit-cast to
-  /// uint64) rather than a plain struct, so the unavoidable read/write
-  /// overlap of a seqlock is data-race-free for the memory model (and
-  /// ThreadSanitizer) while readers stay lock-free. The atomics also
-  /// keep the reader side outside thread-safety analysis's remit: no
-  /// GUARDED_BY member is touched without mu_, so Snapshot() needs no
-  /// NO_THREAD_SAFETY_ANALYSIS escape.
+  /// payload is an array of atomic words (doubles bit-cast to uint64),
+  /// stored with release and loaded with acquire, rather than a plain
+  /// struct behind fences, so the unavoidable read/write overlap of a
+  /// seqlock is data-race-free for the memory model, ThreadSanitizer
+  /// models every ordering it relies on, and readers stay lock-free. The
+  /// atomics also keep the reader side outside thread-safety analysis's
+  /// remit: no GUARDED_BY member is touched without mu_, so Snapshot()
+  /// needs no NO_THREAD_SAFETY_ANALYSIS escape.
   static constexpr size_t kModelWords = 7;
   static constexpr size_t kSnapWords = 2 * kModelWords + 1;
   mutable std::atomic<uint32_t> seq_{0};

@@ -5,9 +5,10 @@
 
 #include <atomic>
 #include <initializer_list>
-#include <map>
+#include <iterator>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "cjoin/filter.h"
 #include "cjoin/tuple_slot.h"
 #include "common/bitvector.h"
+#include "common/hash.h"
 #include "common/queue.h"
 
 namespace cjoin {
@@ -51,41 +53,56 @@ class DimHashTableTest : public ::testing::Test {
     ht_.AssignComplementBits(m.data(), value ? m.data() : zero.data());
   }
 
+  /// The filtering vector a probe for `key` ANDs into an all-ones tuple.
+  std::vector<uint64_t> FilterVector(int64_t key) {
+    std::vector<uint64_t> acc(kWidth, ~uint64_t{0});
+    cjoin::ReaderMutexLock lk(&ht_.mutex());
+    ht_.AndFilterInto(acc.data(), ht_.ProbeLocked(key));
+    return acc;
+  }
+
   DimensionHashTable ht_{kWidth, 16};
   uint8_t rows_[64] = {};
 };
 
 TEST_F(DimHashTableTest, InsertAndProbe) {
-  auto* e = ht_.InsertOrGet(42, &rows_[0]);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->key, 42);
-  EXPECT_EQ(e->row, &rows_[0]);
+  Select(42, &rows_[0], {});
   EXPECT_EQ(ht_.size(), 1u);
 
   cjoin::ReaderMutexLock lk(&ht_.mutex());
   const auto* found = ht_.ProbeLocked(42);
   ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->key, 42);
   EXPECT_EQ(found->row, &rows_[0]);
   EXPECT_EQ(ht_.ProbeLocked(43), nullptr);
 }
 
 TEST_F(DimHashTableTest, InsertIsIdempotentPerKey) {
   Select(7, &rows_[0], {3});
-  auto* b = ht_.InsertOrGet(7, &rows_[1]);  // same key: existing entry
-  EXPECT_EQ(b->row, &rows_[0]) << "row pointer of first insert wins";
-  EXPECT_TRUE(bitops::TestBit(b->bits, 3));
+  Select(7, &rows_[1], {});  // same key: existing entry
   EXPECT_EQ(ht_.size(), 1u);
+  cjoin::ReaderMutexLock lk(&ht_.mutex());
+  const auto* e = ht_.ProbeLocked(7);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->row, &rows_[0]) << "row pointer of first insert wins";
+  EXPECT_TRUE(bitops::TestBit(e->bits, 3));
 }
 
-TEST_F(DimHashTableTest, NewEntriesInheritComplement) {
-  // b_Dj semantics (§3.2.1): a tuple not in the table behaves as selected
-  // by queries that do NOT reference this dimension. New entries must
-  // start from that vector.
+TEST_F(DimHashTableTest, NewEntriesHoldOnlySelections) {
+  // b_Dj semantics (§3.2.1): a query that does NOT reference this
+  // dimension passes every tuple. That bit lives in b_Dj alone: a new
+  // entry's bits are its selections, and the probe ORs b_Dj back in.
   SetComplement(5, true);   // query 5 does not reference this dim
   SetComplement(9, false);  // query 9 references it
-  auto* e = ht_.InsertOrGet(1, &rows_[0]);
-  EXPECT_TRUE(bitops::TestBit(e->bits, 5));
-  EXPECT_FALSE(bitops::TestBit(e->bits, 9));
+  Select(1, &rows_[0], {});
+  {
+    cjoin::ReaderMutexLock lk(&ht_.mutex());
+    const auto* e = ht_.ProbeLocked(1);
+    ASSERT_NE(e, nullptr);
+    EXPECT_TRUE(bitops::IsZero(e->bits, kWidth));
+  }
+  EXPECT_EQ(FilterVector(1), Mask({5}));
+  EXPECT_EQ(FilterVector(2), Mask({5})) << "a miss filters by b_Dj";
 }
 
 TEST_F(DimHashTableTest, GrowsAndKeepsEntries) {
@@ -109,47 +126,17 @@ TEST_F(DimHashTableTest, AssignMaskedBitsChangeExactlyTheMaskedBits) {
   const std::vector<uint64_t> mask = Mask({3, 64, 130, 255}, kW);
   const std::vector<uint64_t> values = Mask({3, 130, 200}, kW);  // 200 unmasked
 
-  // Distinct starting patterns: complement all-ones in words 0 and 2, and
-  // entries whose bits depend on the key.
+  // A distinct starting pattern: all-ones in words 0 and 2.
   const uint64_t ones[kW] = {~uint64_t{0}, 0, ~uint64_t{0}, 0};
   ht.AssignComplementBits(ones, ones);
-  std::vector<int64_t> keys;
-  std::vector<const uint8_t*> rows;
-  std::vector<uint64_t> masks;
-  for (int64_t k = 0; k < 40; ++k) {
-    keys.push_back(k);
-    rows.push_back(&rows_[0]);
-    for (size_t w = 0; w < kW; ++w) {
-      masks.push_back(0x9E3779B97F4A7C15ull * static_cast<uint64_t>(k + w));
-    }
-  }
-  ht.InsertOrMerge(keys.data(), rows.data(), masks.data(), keys.size());
-
-  auto expect_assigned = [&](const uint64_t* before, const uint64_t* after) {
-    for (size_t b = 0; b < kW * 64; ++b) {
-      const bool want = bitops::TestBit(mask.data(), b)
-                            ? bitops::TestBit(values.data(), b)
-                            : bitops::TestBit(before, b);
-      EXPECT_EQ(bitops::TestBit(after, b), want) << "bit " << b;
-    }
-  };
-
-  std::vector<uint64_t> comp_before(ht.complement(), ht.complement() + kW);
+  std::vector<uint64_t> before(ht.complement(), ht.complement() + kW);
   ht.AssignComplementBits(mask.data(), values.data());
-  expect_assigned(comp_before.data(), ht.complement());
-
-  std::map<int64_t, std::vector<uint64_t>> before;
-  ht.ForEachEntry([&](const DimensionHashTable::Entry& e) {
-    before[e.key].assign(e.bits, e.bits + kW);
-  });
-  ASSERT_EQ(before.size(), 40u);
-  ht.AssignBitsForAllEntries(mask.data(), values.data());
-  size_t seen = 0;
-  ht.ForEachEntry([&](const DimensionHashTable::Entry& e) {
-    expect_assigned(before.at(e.key).data(), e.bits);
-    ++seen;
-  });
-  EXPECT_EQ(seen, 40u);
+  for (size_t b = 0; b < kW * 64; ++b) {
+    const bool want = bitops::TestBit(mask.data(), b)
+                          ? bitops::TestBit(values.data(), b)
+                          : bitops::TestBit(before.data(), b);
+    EXPECT_EQ(bitops::TestBit(ht.complement(), b), want) << "bit " << b;
+  }
 }
 
 TEST_F(DimHashTableTest, RemoveDeadEntriesKeepsLiveOnes) {
@@ -161,13 +148,13 @@ TEST_F(DimHashTableTest, RemoveDeadEntriesKeepsLiveOnes) {
     if (k < 10) {
       Select(k, &rows_[0], {2});
     } else {
-      ht_.InsertOrGet(k, &rows_[0]);
+      Select(k, &rows_[0], {});
     }
   }
   uint64_t active[2] = {};
   bitops::SetBit(active, 2);
   bitops::SetBit(active, 4);
-  // Entries 10..19 carry only the complement pattern => dead.
+  // Entries 10..19 are selected by no query => dead.
   const size_t removed = ht_.RemoveDeadEntries(active);
   EXPECT_EQ(removed, 10u);
   EXPECT_EQ(ht_.size(), 10u);
@@ -180,9 +167,23 @@ TEST_F(DimHashTableTest, RemoveDeadEntriesKeepsLiveOnes) {
   }
 }
 
+TEST_F(DimHashTableTest, RemoveDeadEntriesClearsFinishedIdsOnSurvivors) {
+  // Key 7 is selected by queries 1 and 2; query 2 finishes. The entry
+  // survives for query 1, and bit 2 must be gone from it: a later query
+  // reusing id 2 starts from no selections.
+  Select(7, &rows_[0], {1, 2, 100});
+  const std::vector<uint64_t> active = Mask({1});
+  EXPECT_EQ(ht_.RemoveDeadEntries(active.data()), 0u);
+  cjoin::ReaderMutexLock lk(&ht_.mutex());
+  const auto* e = ht_.ProbeLocked(7);
+  ASSERT_NE(e, nullptr);
+  const std::vector<uint64_t> got(e->bits, e->bits + kWidth);
+  EXPECT_EQ(got, Mask({1}));
+}
+
 TEST_F(DimHashTableTest, ConcurrentProbesDuringBitUpdates) {
-  // Admission updates bits while filters probe (§3.3.1).
-  for (int64_t k = 0; k < 256; ++k) ht_.InsertOrGet(k, &rows_[0]);
+  // Admission updates b_Dj while filters probe (§3.3.1).
+  for (int64_t k = 0; k < 256; ++k) Select(k, &rows_[0], {});
   std::atomic<bool> stop{false};
   std::thread prober([&] {
     uint64_t acc[kWidth];
@@ -192,7 +193,7 @@ TEST_F(DimHashTableTest, ConcurrentProbesDuringBitUpdates) {
         const auto* e = ht_.ProbeLocked(k);
         ASSERT_NE(e, nullptr);
         bitops::Fill(acc, kWidth, ~uint64_t{0});
-        bitops::AndIntoAtomicSrc(acc, e->bits, kWidth);
+        ht_.AndFilterInto(acc, e);
       }
     }
   });
@@ -202,13 +203,11 @@ TEST_F(DimHashTableTest, ConcurrentProbesDuringBitUpdates) {
     const std::vector<uint64_t> batch =
         Mask({static_cast<size_t>(round % 64),
               static_cast<size_t>(64 + round % 64)});
-    const bool even = round % 2 == 0;
-    ht_.AssignBitsForAllEntries(batch.data(),
-                                even ? batch.data() : zero.data());
-    ht_.AssignComplementBits(batch.data(), even ? zero.data() : batch.data());
+    ht_.AssignComplementBits(batch.data(),
+                             round % 2 == 0 ? zero.data() : batch.data());
   }
   // Structural change under probes too.
-  for (int64_t k = 256; k < 512; ++k) ht_.InsertOrGet(k, &rows_[0]);
+  for (int64_t k = 256; k < 512; ++k) Select(k, &rows_[0], {});
   stop.store(true);
   prober.join();
   EXPECT_EQ(ht_.size(), 512u);
@@ -217,7 +216,7 @@ TEST_F(DimHashTableTest, ConcurrentProbesDuringBitUpdates) {
 TEST_F(DimHashTableTest, ProbeBatchMatchesScalarProbe) {
   // Element-wise identity with ProbeLocked on an interleaved hit/miss
   // mix, at a size spanning several internal kMaxBatch rounds.
-  for (int64_t k = 0; k < 1000; k += 2) ht_.InsertOrGet(k, &rows_[0]);
+  for (int64_t k = 0; k < 1000; k += 2) Select(k, &rows_[0], {});
 
   std::vector<int64_t> keys;
   for (int64_t k = 0; k < 1000; ++k) keys.push_back(k);  // 50% misses
@@ -231,7 +230,7 @@ TEST_F(DimHashTableTest, ProbeBatchMatchesScalarProbe) {
 }
 
 TEST_F(DimHashTableTest, ProbeBatchHandlesDuplicatesAndShortBatches) {
-  ht_.InsertOrGet(5, &rows_[0]);
+  Select(5, &rows_[0], {});
   const int64_t keys[] = {5, -5, 5, 5};
   const DimensionHashTable::Entry* got[4];
   cjoin::ReaderMutexLock lk(&ht_.mutex());
@@ -271,26 +270,30 @@ TEST_F(DimHashTableTest, InsertOrMergeOrsMasksOfARepeatedKey) {
   }
 }
 
-TEST_F(DimHashTableTest, InsertOrMergeStartsNewKeysAtComplement) {
-  // A new key's bits are b_Dj OR its mask: queries not referencing the
-  // dimension (11, 100) select it, the masked query (40) too, and a
-  // referencing query that did not select it (12) does not.
+TEST_F(DimHashTableTest, InsertOrMergeStartsNewKeysAtTheirMask) {
+  // A new key's bits are exactly its mask (40). The probe then passes
+  // the queries not referencing the dimension (11, 100) through b_Dj,
+  // and a referencing query that did not select the key (12) does not
+  // pass; a miss passes only 11 and 100.
   SetComplement(11, true);
   SetComplement(100, true);
   SetComplement(12, false);
   Select(5, &rows_[0], {40});
-  cjoin::ReaderMutexLock lk(&ht_.mutex());
-  const auto* e = ht_.ProbeLocked(5);
-  ASSERT_NE(e, nullptr);
-  const std::vector<uint64_t> want = Mask({11, 40, 100});
-  for (size_t w = 0; w < kWidth; ++w) {
-    EXPECT_EQ(e->bits[w], want[w]) << "word " << w;
+  {
+    cjoin::ReaderMutexLock lk(&ht_.mutex());
+    const auto* e = ht_.ProbeLocked(5);
+    ASSERT_NE(e, nullptr);
+    const std::vector<uint64_t> got(e->bits, e->bits + kWidth);
+    EXPECT_EQ(got, Mask({40}));
   }
+  EXPECT_EQ(FilterVector(5), Mask({11, 40, 100}));
+  EXPECT_EQ(FilterVector(6), Mask({11, 100}));
 }
 
 TEST_F(DimHashTableTest, InsertOrMergeKeepsEveryKeyAndMaskAcrossRehash) {
   // One call of many more than kMaxBatch keys into a 16-entry table: the
-  // chunks rehash several times mid-call, and no key or mask may be lost.
+  // table grows several doublings before the inserts, and no key or mask
+  // may be lost.
   for (int64_t k = 0; k < 100; k += 3) Select(k, &rows_[0], {127});
   const size_t kN = 5 * DimensionHashTable::kMaxBatch + 7;
   std::vector<int64_t> keys;
@@ -336,7 +339,7 @@ TEST_F(DimHashTableTest, RemoveDeadEntriesRepairsCollisionChains) {
     if (k % 2 == 0) {
       Select(k * 1024, &rows_[0], {1});  // clustered keys
     } else {
-      ht_.InsertOrGet(k * 1024, &rows_[0]);
+      Select(k * 1024, &rows_[0], {});
     }
   }
   uint64_t active[2] = {};
@@ -361,8 +364,82 @@ TEST_F(DimHashTableTest, RemoveDeadEntriesRepairsCollisionChains) {
       }
     }
   }
-  // A second GC pass (reusing the table-owned scratch) removes nothing.
+  // A second GC pass removes nothing.
   EXPECT_EQ(ht_.RemoveDeadEntries(active), 0u);
+}
+
+TEST_F(DimHashTableTest, BackwardShiftDeletionAcrossTheWrap) {
+  // A cluster that wraps past the last slot of a 32-slot table (16
+  // expected entries), at width 2 (inline bits) and width 8 (the
+  // out-of-line words arena). Keys are chosen by home slot, inserted in
+  // this order: homes 30, 30, 31, 0, 0, 1 occupy slots 30, 31, 0, 1, 2, 3.
+  // Deleting keys one group at a time exercises both outcomes of the
+  // cyclic (hole, j] test: entries homed past the wrap stay, entries
+  // homed before it move back across it.
+  constexpr size_t kSlots = 32;
+  const size_t homes[] = {30, 30, 31, 0, 0, 1};
+  constexpr size_t kKeys = std::size(homes);
+  std::vector<int64_t> keys;
+  std::set<int64_t> used;
+  for (size_t h : homes) {
+    int64_t k = 0;
+    while ((Mix64(static_cast<uint64_t>(k)) & (kSlots - 1)) != h ||
+           used.count(k) != 0) {
+      ++k;
+    }
+    used.insert(k);
+    keys.push_back(k);
+  }
+  // Deletion rounds by key index: the head of the cluster first (the
+  // rest stay or shift back), then one entry from each side of the
+  // wrap, then everything.
+  const std::vector<std::vector<size_t>> rounds = {{0}, {2, 4}, {1, 3, 5}};
+
+  for (size_t width : {size_t{2}, size_t{8}}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    DimensionHashTable ht(width, 16);
+    // Key i is selected by query qid(i) alone, spread over every word.
+    const auto qid = [&](size_t i) { return (i * 61 + 5) % (width * 64); };
+    for (size_t i = 0; i < kKeys; ++i) {
+      const std::vector<uint64_t> m = Mask({qid(i)}, width);
+      const uint8_t* row = &rows_[i];
+      ht.InsertOrMerge(&keys[i], &row, m.data(), 1);
+    }
+    {
+      // The cluster does wrap: key 2 (home 31) sits before key 0 (slot 30).
+      cjoin::ReaderMutexLock lk(&ht.mutex());
+      ASSERT_LT(ht.ProbeLocked(keys[2]), ht.ProbeLocked(keys[0]));
+    }
+
+    std::vector<bool> live(kKeys, true);
+    for (const std::vector<size_t>& round : rounds) {
+      for (size_t i : round) live[i] = false;
+      std::vector<uint64_t> active(width, 0);
+      for (size_t i = 0; i < kKeys; ++i) {
+        if (live[i]) bitops::SetBit(active.data(), qid(i));
+      }
+      EXPECT_EQ(ht.RemoveDeadEntries(active.data()), round.size());
+      std::vector<const DimensionHashTable::Entry*> got(kKeys);
+      cjoin::ReaderMutexLock lk(&ht.mutex());
+      ht.ProbeBatchLocked(keys.data(), got.data(), kKeys);
+      size_t found = 0;
+      for (size_t i = 0; i < kKeys; ++i) {
+        const DimensionHashTable::Entry* e = ht.ProbeLocked(keys[i]);
+        EXPECT_EQ(got[i], e) << "key index " << i;
+        if (!live[i]) {
+          EXPECT_EQ(e, nullptr) << "deleted key index " << i << " found";
+          continue;
+        }
+        ASSERT_NE(e, nullptr) << "survivor index " << i << " unreachable";
+        ++found;
+        EXPECT_EQ(e->key, keys[i]);
+        EXPECT_EQ(e->row, &rows_[i]);
+        const std::vector<uint64_t> bits(e->bits, e->bits + width);
+        EXPECT_EQ(bits, Mask({qid(i)}, width)) << "key index " << i;
+      }
+      EXPECT_EQ(ht.size(), found);
+    }
+  }
 }
 
 TEST_F(DimHashTableTest, RehashPreservesCollisionChains) {
@@ -388,21 +465,21 @@ TEST_F(DimHashTableTest, RehashPreservesCollisionChains) {
 
 TEST_F(DimHashTableTest, ConcurrentBatchProbesDuringInsertAndGc) {
   // TSan-covered stress of the full concurrency contract: filter-side
-  // batched probes under the shared lock, racing the Pipeline Manager's
-  // masked bit passes (shared lock, single-writer stores) and structural
-  // changes — batched inserts, rehashes, and GC passes (exclusive lock).
-  SetComplement(3, false);
-  for (int64_t k = 0; k < 128; ++k) {
-    Select(k, &rows_[0], {3});  // keys 0..127 stay live
-  }
+  // batched probes under the shared lock race the Pipeline Manager's
+  // shared-lock inserts and merges, its GC bit pass, and its exclusive
+  // growth rehashes and backward-shift deletions. Keys 0..127 are
+  // selected by query 3 throughout, so every probe of one must find it
+  // with bit 3 set, whatever the manager is doing.
+  constexpr size_t kLiveQid = 3;
+  for (int64_t k = 0; k < 128; ++k) Select(k, &rows_[0], {kLiveQid});
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> live_probes{0};
   std::vector<std::thread> probers;
   for (int t = 0; t < 3; ++t) {
-    probers.emplace_back([&] {
+    probers.emplace_back([&, t] {
       int64_t keys[DimensionHashTable::kMaxBatch];
       const DimensionHashTable::Entry* out[DimensionHashTable::kMaxBatch];
-      uint64_t acc[kWidth];
-      int64_t base = 0;
+      int64_t base = t;
       while (!stop.load()) {
         for (size_t i = 0; i < DimensionHashTable::kMaxBatch; ++i) {
           keys[i] = (base + static_cast<int64_t>(i) * 3) % 4096;
@@ -411,43 +488,53 @@ TEST_F(DimHashTableTest, ConcurrentBatchProbesDuringInsertAndGc) {
         cjoin::ReaderMutexLock lk(&ht_.mutex());
         ht_.ProbeBatchLocked(keys, out, DimensionHashTable::kMaxBatch);
         for (size_t i = 0; i < DimensionHashTable::kMaxBatch; ++i) {
-          if (keys[i] < 128) {
-            ASSERT_NE(out[i], nullptr) << keys[i];
-          }
           if (out[i] != nullptr) {
-            bitops::Fill(acc, kWidth, ~uint64_t{0});
-            bitops::AndIntoAtomicSrc(acc, out[i]->bits, kWidth);
+            ASSERT_EQ(out[i]->key, keys[i]);
           }
+          if (keys[i] >= 128) continue;
+          ASSERT_NE(out[i], nullptr) << "live key " << keys[i] << " missed";
+          ASSERT_TRUE((bitops::AtomicLoadWord(out[i]->bits, 0) >> kLiveQid) & 1)
+              << "live key " << keys[i] << " lost its bit";
+          live_probes.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
   }
   uint64_t active[kWidth] = {};
-  bitops::SetBit(active, 3);
-  const std::vector<uint64_t> zero(kWidth, 0);
+  bitops::SetBit(active, kLiveQid);
   int64_t next = 128;
-  for (int round = 0; round < 60; ++round) {
-    // Batched inserts of transient keys (bit 3 left clear => GC bait).
+  // At least 60 rounds, and on until the probers have checked live keys
+  // many times (bounded, so a prober that failed cannot hang the test).
+  for (int round = 0;
+       round < 60 || (round < 5000 && live_probes.load() < 5000); ++round) {
+    // One batch of transient keys selected by a finished-soon query
+    // (never 3), merged into some live keys too. The GC pass clears the
+    // transient bit everywhere and deletes the transient keys.
+    const size_t qid = 64 + static_cast<size_t>(round % 64);
+    const std::vector<uint64_t> m = Mask({qid});
     int64_t keys[DimensionHashTable::kMaxBatch];
     const uint8_t* rows[DimensionHashTable::kMaxBatch];
-    const uint64_t masks[DimensionHashTable::kMaxBatch * kWidth] = {};
+    uint64_t masks[DimensionHashTable::kMaxBatch * kWidth];
     for (size_t i = 0; i < DimensionHashTable::kMaxBatch; ++i) {
-      keys[i] = next++ % 4096;
+      keys[i] = i % 8 == 0 ? static_cast<int64_t>(i + round) % 128
+                           : 128 + next++ % 3968;
       rows[i] = &rows_[0];
+      bitops::Copy(masks + i * kWidth, m.data(), kWidth);
     }
     ht_.InsertOrMerge(keys, rows, masks, DimensionHashTable::kMaxBatch);
-    const size_t qid = static_cast<size_t>(round % 128);
-    if (qid != 3) {
-      const std::vector<uint64_t> m = Mask({qid});
-      ht_.AssignBitsForAllEntries(m.data(),
-                                  round % 2 == 0 ? m.data() : zero.data());
-    }
     if (round % 10 == 9) ht_.RemoveDeadEntries(active);
   }
   ht_.RemoveDeadEntries(active);
   stop.store(true);
   for (auto& t : probers) t.join();
-  EXPECT_EQ(ht_.size(), 128u) << "only the bit-3 keys survive GC";
+  EXPECT_EQ(ht_.size(), 128u) << "only the query-3 keys survive GC";
+  cjoin::ReaderMutexLock lk(&ht_.mutex());
+  for (int64_t k = 0; k < 128; ++k) {
+    const auto* e = ht_.ProbeLocked(k);
+    ASSERT_NE(e, nullptr) << k;
+    const std::vector<uint64_t> bits(e->bits, e->bits + kWidth);
+    EXPECT_EQ(bits, Mask({kLiveQid})) << "finished bits cleared on key " << k;
+  }
 }
 
 // ------------------------------ EpochTracker ---------------------------------

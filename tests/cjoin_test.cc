@@ -219,7 +219,8 @@ TEST(CJoinOperatorTest, StaggeredAdmissionSharesTheScan) {
 
 TEST(CJoinOperatorTest, SequentialReuseOfQueryIds) {
   // More queries than maxConc, sequentially: ids get reused and the
-  // bit-vector invariant must survive reuse (DESIGN.md §5).
+  // bit-vector invariant must survive reuse (cleanup clears a finished
+  // id's entry bits before release; see cjoin/dim_hash_table.h).
   auto ts = MakeTinyStar(500);
   CJoinOperator::Options opts = SmallOptions();
   opts.max_concurrent_queries = 2;  // forces heavy id reuse
@@ -408,9 +409,7 @@ TEST(CJoinOperatorTest, EmptyFactTableCompletesImmediately) {
 
 TEST(CJoinOperatorTest, GarbageCollectionShrinksDimTables) {
   auto ts = MakeTinyStar(1000, 100, 6);
-  CJoinOperator::Options opts = SmallOptions();
-  opts.gc_dimension_tuples = true;
-  CJoinOperator op(*ts->star, opts);
+  CJoinOperator op(*ts->star, SmallOptions());
   ASSERT_TRUE(op.Start().ok());
 
   auto h = op.Submit(RegionFiltered(*ts, "R1"));
